@@ -56,6 +56,16 @@ def _parse_field(text: str):
     raise argparse.ArgumentTypeError(f"field must be 'Q' or 'Fp:<p>', got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _render_reports(reports: list[Report], fmt: str) -> str:
     if fmt == "json":
         return json.dumps([r.to_json_obj() for r in reports], indent=2)
@@ -223,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0, help="PRNG seed")
         if trials is not None:
             p.add_argument(
-                "--trials", type=int, default=trials,
+                "--trials", type=_positive_int, default=trials,
                 help=f"sample count (default {trials})",
             )
         if golden:
@@ -268,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         output, code = args.fn(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = output.rstrip("\n") + "\n"

@@ -265,13 +265,6 @@ def to_group_algebra(x: DElement) -> AlgebraElement:
     return total
 
 
-def _int_product(n: int, i: int, j: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for t, m in _pair_product(n, i, j):
-        out[t] = out.get(t, 0) + m
-    return out
-
-
 def associativity_check(n: int, mode: str = None, trials: int = 10000, seed: int = 0) -> Report:
     """(xy)z = x(yz) on basis triples, computed over the integers (hence
     valid over every coefficient ring): exhaustive for n ≤ 3, seeded

@@ -8,14 +8,19 @@ The workhorses are `DenseMatrix` (rank, nullspace, solve via exact Gaussian
 elimination, plus a fraction-free Bareiss rank for cross-checking) and
 `SpanBasis` (an incrementally maintained reduced echelon basis of a
 subspace, supporting membership, equality, sums and intersection
-dimensions).  `min_dependency` finds the first linear dependency in a
-vector sequence, the engine behind minimal polynomials.
+dimensions).  Over Q, `SpanBasis` stores each row as a sparse primitive
+integer vector and eliminates by cross-multiplication, in the
+fraction-free manner of Bareiss, so it does no `Fraction` arithmetic.  Its
+answers are still exact over Q, not modular: each step multiplies a vector
+by a nonzero integer, which changes no span.  `min_dependency` finds the
+first linear dependency in a vector sequence, the engine behind minimal
+polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -365,13 +370,39 @@ def solve(m: DenseMatrix, rhs: Sequence) -> Optional[list]:
     return m.solve(rhs)
 
 
+def _integer_vector(v: Sequence) -> list[int]:
+    """A nonzero integer multiple of the rational vector v (v itself when
+    its entries are integers)."""
+    try:
+        nums = [x.numerator for x in v]
+    except AttributeError:  # floats, strings: anything Fraction accepts
+        return _integer_vector([Fraction(x) for x in v])
+    # a zero numerator means denominator 1; most entries are zero
+    den = lcm(*[x.denominator for x, num in zip(v, nums) if num])
+    if den == 1:
+        return nums
+    return [x.numerator * (den // x.denominator) for x in v]
+
+
 class SpanBasis:
     """A subspace kept as a reduced echelon basis.
 
-    Stored rows have pivot entry 1, every other row vanishes at that pivot
-    column, and rows are ordered by pivot column.  This is the unique
-    reduced echelon basis of the span, so equality of subspaces is equality
-    of stored rows.
+    Every other stored row vanishes at a row's pivot column, and rows are
+    ordered by pivot column.  Over a prime field a row is a list of scalars
+    with pivot entry 1.  Over Q a row is a primitive integer vector (its
+    entries have gcd 1) with a positive pivot entry, kept sparse as a
+    {column: nonzero int} dict: the reduced echelon row times the one
+    positive rational that makes it so.  Either way the stored rows are
+    unique to the span, so equality of subspaces is equality of stored rows.
+
+    Over Q no `Fraction` arithmetic happens.  A vector is cleared of
+    denominators on entry, which does not change the line it spans.
+    Reducing v by a row with pivot entry d and c = v[pivot] replaces v by
+    (d/g)·v − (c/g)·row with g = gcd(c, d): integer arithmetic that scales
+    v by a nonzero integer, so the reduced vector is zero exactly when v
+    lies in the span.  Rank, membership and equality are therefore exact
+    over Q, with no modular step.  The `rows` property converts back to
+    pivot-1 rows of field scalars.
     """
 
     __slots__ = ("field", "ambient", "_rows", "_pivots")
@@ -379,69 +410,133 @@ class SpanBasis:
     def __init__(self, field, ambient: int):
         self.field = field
         self.ambient = ambient
-        self._rows: list[list] = []
+        self._rows: list = []
         self._pivots: list[int] = []
 
     def rank(self) -> int:
         return len(self._rows)
 
+    def _dense_rows(self) -> list[list]:
+        """The stored rows as dense lists (integers over Q)."""
+        if self.field.characteristic:
+            return [row[:] for row in self._rows]
+        dense = []
+        for row in self._rows:
+            vec = [0] * self.ambient
+            for j, x in row.items():
+                vec[j] = x
+            dense.append(vec)
+        return dense
+
     @property
     def rows(self) -> list[list]:
-        return [row[:] for row in self._rows]
+        """The reduced echelon rows, pivot entry 1, as field scalars."""
+        if self.field.characteristic:
+            return self._dense_rows()
+        return [
+            [Fraction(x, row[pc]) for x in row]
+            for row, pc in zip(self._dense_rows(), self._pivots)
+        ]
 
     @property
     def pivots(self) -> list[int]:
         return self._pivots[:]
 
-    def _reduce(self, v: list) -> list:
+    def _entry(self, v: Sequence) -> list:
+        """v as a dense list: field scalars over F_p, an integer multiple
+        of v over Q."""
+        if len(v) != self.ambient:
+            raise ValueError(f"vector length {len(v)} != ambient {self.ambient}")
         field = self.field
+        if field.characteristic:
+            return [field.normalize(x) for x in v]
+        return _integer_vector(v)
+
+    def _reduce(self, v: list) -> list:
+        """v minus its components along the stored rows; over Q the result
+        is scaled by a nonzero integer."""
+        field = self.field
+        p = field.characteristic
+        if p:
+            for row, pc in zip(self._rows, self._pivots):
+                c = v[pc]
+                if c:
+                    _axpy(field, v, row, p - c)
+            return v
         for row, pc in zip(self._rows, self._pivots):
             c = v[pc]
             if c:
-                _axpy(field, v, row,
-                      -c if field.characteristic == 0 else field.p - c)
+                d = row[pc]
+                g = gcd(c, d)
+                a, b = d // g, c // g
+                if a != 1:
+                    v = [a * x for x in v]
+                for j, y in row.items():
+                    v[j] -= b * y
         return v
 
     def insert(self, v: Sequence) -> bool:
         """Add v to the span; True iff the rank grew."""
-        if len(v) != self.ambient:
-            raise ValueError(f"vector length {len(v)} != ambient {self.ambient}")
         field = self.field
-        v = self._reduce([field.normalize(x) for x in v])
+        v = self._reduce(self._entry(v))
         col = next((j for j, x in enumerate(v) if x), -1)
         if col < 0:
             return False
-        c = v[col]
-        if c != field.one:
-            _scale(field, v, field.inv(c))
-        for row in self._rows:
-            x = row[col]
-            if x:
-                _axpy(field, row, v,
-                      -x if field.characteristic == 0 else field.p - x)
+        rows = self._rows
+        if field.characteristic:
+            c = v[col]
+            if c != field.one:
+                _scale(field, v, field.inv(c))
+            for row in rows:
+                x = row[col]
+                if x:
+                    _axpy(field, row, v, field.p - x)
+        else:
+            g = gcd(*v) if v[col] > 0 else -gcd(*v)
+            v = {j: x // g for j, x in enumerate(v) if x}
+            d = v[col]
+            for i, row in enumerate(rows):
+                x = row.get(col)
+                if x:
+                    # row <- (d/g)·row - (x/g)·v; d/g > 0 keeps the row's
+                    # own pivot entry positive, and v is 0 there
+                    g = gcd(x, d)
+                    a, b = d // g, x // g
+                    if a != 1:
+                        row = {j: a * y for j, y in row.items()}
+                    for j, z in v.items():
+                        y = row.get(j, 0) - b * z
+                        if y:
+                            row[j] = y
+                        else:
+                            del row[j]
+                    g = gcd(*row.values())
+                    rows[i] = row if g == 1 else {j: y // g for j, y in row.items()}
         at = next((i for i, pc in enumerate(self._pivots) if pc > col),
                   len(self._pivots))
-        self._rows.insert(at, v)
+        rows.insert(at, v)
         self._pivots.insert(at, col)
         return True
 
-    def insert_all(self, vectors: Iterable[Sequence]) -> int:
-        """Insert many vectors; return how much the rank grew."""
-        return sum(1 for v in vectors if self.insert(v))
-
     def contains(self, v: Sequence) -> bool:
-        if len(v) != self.ambient:
-            raise ValueError(f"vector length {len(v)} != ambient {self.ambient}")
-        v = self._reduce([self.field.normalize(x) for x in v])
-        return not any(v)
+        return not any(self._reduce(self._entry(v)))
 
     def residual(self, v: Sequence) -> list:
-        """v reduced modulo the span (zero iff contained)."""
-        return self._reduce([self.field.normalize(x) for x in v])
+        """v minus the combination of stored rows that agrees with it at
+        every pivot column, as field scalars (zero iff contained)."""
+        field = self.field
+        if len(v) != self.ambient:
+            raise ValueError(f"vector length {len(v)} != ambient {self.ambient}")
+        v = [field.normalize(x) for x in v]
+        for row, pc in zip(self.rows, self._pivots):
+            c = v[pc]
+            if c:
+                _axpy(field, v, row, -c if field.characteristic == 0 else field.p - c)
+        return v
 
     def copy(self) -> "SpanBasis":
         s = SpanBasis(self.field, self.ambient)
-        s._rows = [row[:] for row in self._rows]
+        s._rows = [row.copy() for row in self._rows]
         s._pivots = self._pivots[:]
         return s
 
@@ -478,7 +573,7 @@ def span_sum_rank(s: SpanBasis, t: SpanBasis) -> int:
     if s.field != t.field or s.ambient != t.ambient:
         raise ValueError("spans live in different ambient spaces")
     u = s.copy()
-    for row in t._rows:
+    for row in t._dense_rows():
         u.insert(row)
     return u.rank()
 
@@ -497,13 +592,13 @@ def min_dependency(vectors: Sequence[Sequence], field=QQ) -> list:
     ExtendRequired if the whole sequence is independent."""
     if not vectors:
         raise ValueError("empty vector sequence")
-    ambient = len(vectors[0])
-    span = SpanBasis(field, ambient)
+    rows: list[list] = []  # reduced echelon rows, pivot entry 1
+    pivots: list[int] = []
     history: list[list] = []  # stored rows' coordinates in the inputs
     for m, v in enumerate(vectors):
         v = [field.normalize(x) for x in v]
         coords = [field.zero] * m + [field.one]
-        for row, pc, hist in zip(span._rows, span._pivots, history):
+        for row, pc, hist in zip(rows, pivots, history):
             c = v[pc]
             if c:
                 neg = -c if field.characteristic == 0 else field.p - c
@@ -519,9 +614,8 @@ def min_dependency(vectors: Sequence[Sequence], field=QQ) -> list:
         if inv != field.one:
             _scale(field, v, inv)
             _scale(field, coords, inv)
-        at = next((i for i, pc in enumerate(span._pivots) if pc > col),
-                  len(span._pivots))
-        span._rows.insert(at, v)
-        span._pivots.insert(at, col)
+        at = next((i for i, pc in enumerate(pivots) if pc > col), len(pivots))
+        rows.insert(at, v)
+        pivots.insert(at, col)
         history.insert(at, coords)
     raise ExtendRequired(f"{len(vectors)} vectors are linearly independent")

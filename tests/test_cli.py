@@ -188,3 +188,43 @@ def test_stdout_deterministic(capsys):
     _, first = run(capsys, "counts", "--n", "4", "--k", "2", "--format", "json")
     _, second = run(capsys, "counts", "--n", "4", "--k", "2", "--format", "json")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product-fuzz", "--n", "5", "--trials", "-3"],
+        ["product-fuzz", "--n", "3", "--trials", "0"],
+        ["ideal-suite", "--n", "3", "--k", "1", "--trials", "-1"],
+        ["ideal-suite", "--n", "3", "--k", "1", "--trials", "many"],
+    ],
+)
+def test_non_positive_trials_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--trials" in err
+    assert "Traceback" not in err
+
+
+def test_arithmetic_errors_exit_2(capsys, monkeypatch):
+    import snalg.cli
+
+    def underdetermined(*args, **kwargs):
+        raise ArithmeticError("unity system is underdetermined")
+
+    monkeypatch.setattr(snalg.cli, "dalg_stats", underdetermined)
+    assert main(["dalg-stats", "--n", "2"]) == 2
+    assert capsys.readouterr().err == "error: unity system is underdetermined\n"
+
+    def division(*args, **kwargs):
+        from fractions import Fraction
+
+        from snalg.exactla import GF
+
+        return GF(3).normalize(Fraction(1, 3))
+
+    monkeypatch.setattr(snalg.cli, "product_rule_fuzz", division)
+    assert main(["product-fuzz", "--n", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

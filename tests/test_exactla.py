@@ -235,3 +235,92 @@ def test_min_dependency_prime_field():
     vectors = [[1, 1], [1, 2], [0, 1]]
     combo = [sum(dep[i] * vectors[i][j] for i in range(m + 1)) % 3 for j in range(2)]
     assert combo == [0, 0]
+
+
+def random_rational_vector(rng, ncols, span=4, density=0.6):
+    return [
+        Fraction(rng.randint(-span, span), rng.randint(1, span))
+        if rng.random() < density else Fraction(0)
+        for _ in range(ncols)
+    ]
+
+
+def test_span_matches_dense_rref_over_q():
+    rng = random.Random(2024)
+    for _ in range(40):
+        ncols = rng.randint(1, 8)
+        vectors = [random_rational_vector(rng, ncols) for _ in range(rng.randint(1, 9))]
+        # a few dependent vectors: rational combinations of earlier ones
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            vectors.append([x + c * y for x, y in zip(a, b)])
+        reduced, pivots = DenseMatrix(QQ, vectors).rref()
+        want_rows = reduced.rows[: len(pivots)]
+        s = SpanBasis(QQ, ncols)
+        for v in vectors:
+            s.insert(v)
+        assert s.rank() == len(pivots)
+        assert s.pivots == pivots
+        assert s.rows == want_rows
+        shuffled = vectors[:]
+        rng.shuffle(shuffled)
+        t = SpanBasis(QQ, ncols)
+        for v in shuffled:
+            t.insert(v)
+        assert span_equal(s, t) and t.rows == want_rows
+        for _ in range(5):
+            probe = random_rational_vector(rng, ncols)
+            assert s.contains(probe) == (
+                DenseMatrix(QQ, vectors + [probe]).rank() == len(pivots)
+            )
+        combo = [Fraction(0)] * ncols
+        for v in vectors:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            combo = [x + c * y for x, y in zip(combo, v)]
+        assert s.contains(combo)
+
+
+def test_span_rows_over_q_are_primitive_integers():
+    from math import gcd
+
+    rng = random.Random(8)
+    s = SpanBasis(QQ, 6)
+    for _ in range(5):
+        s.insert(random_rational_vector(rng, 6))
+    assert s.rank() == 5
+    for row, pc in zip(s._rows, s.pivots):
+        assert min(row) == pc
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(*row.values()) == 1 and row[pc] > 0
+        assert not any(opc in row for opc in s.pivots if opc != pc)
+
+
+def test_span_residual_is_exact():
+    s = SpanBasis(QQ, 3)
+    s.insert([2, 4, 0])
+    s.insert([0, 3, 3])
+    # v - 1/2·(1, 2, 0) - 4·(0, 1, 1) vanishes at pivot columns 0 and 1
+    v = [Fraction(1, 2), 5, Fraction(7, 3)]
+    assert s.residual(v) == [0, 0, Fraction(7, 3) - 4]
+    f = GF(5)
+    t = SpanBasis(f, 3)
+    t.insert([2, 4, 0])
+    assert t.residual([3, 0, 1]) == [0, 4, 1]
+
+
+def test_ideal_span_ranks_agree_over_q_and_fp():
+    from snalg.ideals import build_I_basis, build_J_basis
+
+    for n in range(1, 5):
+        for k in range(n + 1):
+            for build in (build_I_basis, build_J_basis):
+                ranks = {build(n, k, f).span().rank() for f in (QQ, GF(5), GF(7))}
+                assert len(ranks) == 1, (build.__name__, n, k, ranks)
+
+
+def test_cross_char_gap_q_vs_f2():
+    from snalg.ideals import cross_char_intersection
+
+    assert cross_char_intersection(3, QQ) == 4
+    assert cross_char_intersection(3, GF(2)) == 5
