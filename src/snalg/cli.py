@@ -208,17 +208,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, *, n=True, k=False, l=False, field=False, seed=False,
+    def add(name, fn, *, n=True, k=None, l=False, field=False, seed=False,
             trials=None, golden=False, unsafe=False, helptext=""):
+        # k: the least accepted --k, or None for no --k
         p = sub.add_parser(name, help=helptext)
         if n:
             p.add_argument("--n", type=int, required=True, help="ground-set size")
-        if k:
-            p.add_argument("--k", type=int, required=True, help="block/ideal index")
+        if k is not None:
+            p.add_argument("--k", type=int, required=True,
+                           help=f"block/ideal index, {k}..n")
         if l is True:
-            p.add_argument("--l", type=int, required=True, help="second ideal index")
+            p.add_argument("--l", type=int, required=True,
+                           help="second ideal index, 0..n")
         elif l == "optional":
-            p.add_argument("--l", type=int, default=None, help="second ideal index")
+            p.add_argument("--l", type=int, default=None,
+                           help="second ideal index, 0..n")
         if field is True:
             p.add_argument(
                 "--field", type=_parse_field, default=QQ,
@@ -251,31 +255,45 @@ def _build_parser() -> argparse.ArgumentParser:
             help="output format (default text)",
         )
         p.add_argument("--out", default=None, help="write output to a file")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, k_min=k)
         return p
 
     add("minpol-table", cmd_minpol_table, golden=True, unsafe=True,
         helptext="minimal polynomials of the kappa family")
-    add("ideal-suite", cmd_ideal_suite, k=True, field=True, seed=True, trials=25,
+    add("ideal-suite", cmd_ideal_suite, k=0, field=True, seed=True, trials=25,
         unsafe=True, helptext="row-sum ideal and antisymmetrizer ideal checks")
     add("product-fuzz", cmd_product_fuzz, field=True, seed=True, trials=200,
         helptext="rook-sum product rules against direct multiplication")
-    add("annihilators", cmd_annihilators, k=True, field=True, unsafe=True,
+    add("annihilators", cmd_annihilators, k=1, field=True, unsafe=True,
         helptext="tensor-module annihilator checks")
     add("dalg-stats", cmd_dalg_stats, field=True, unsafe=True,
         helptext="Δ-algebra dimension/center/radical/unity row")
-    add("counts", cmd_counts, k=True, l="optional",
+    add("counts", cmd_counts, k=0, l="optional",
         helptext="avoider counting identities")
-    add("mixed-quotient", cmd_mixed_quotient, k=True, l=True, field=True,
+    add("mixed-quotient", cmd_mixed_quotient, k=0, l=True, field=True,
         unsafe=True, helptext="mixed two-ideal quotient basis check")
     add("cross-char", cmd_cross_char, field="optional", unsafe=True,
         helptext="intersection dimension that depends on the field")
     return parser
 
 
+def _check_indices(parser: argparse.ArgumentParser, args) -> None:
+    """Reject --k and --l outside their range (k_min..n, 0..n) the way
+    argparse rejects a malformed value.  An out-of-range --n is left to
+    the subcommand's own cap check."""
+    for flag, low in (("k", args.k_min), ("l", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and not low <= value <= max(args.n, low):
+            parser.error(
+                f"argument --{flag}: must be in {low}..{args.n} "
+                f"for --n {args.n}, got {value}"
+            )
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _check_indices(parser, args)
     try:
         output, code = args.fn(args)
     except (ValueError, ArithmeticError) as exc:

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import comb
+from math import comb, lcm
 
 from snalg.exactla import DenseMatrix, QQ, SpanBasis
 from snalg.groupalg import AlgebraElement, mul as algebra_mul
@@ -321,86 +321,95 @@ def _basis_delement(n: int, idx: int, field) -> DElement:
     return DElement(n, field, {idx: field.one})
 
 
+def _multiplication_columns(n: int, i: int):
+    """(right, left) for the generator Δᵢ, each as {t: {s: c}} with
+    integer c: the coefficient of Δ_t in Δ_s·Δᵢ (right) and in Δᵢ·Δ_s
+    (left)."""
+    right: dict[int, dict[int, int]] = {}
+    left: dict[int, dict[int, int]] = {}
+    for s in range(d_dim(n)):
+        for t, m in _pair_product(n, s, i):
+            right.setdefault(t, {})[s] = m
+        for t, m in _pair_product(n, i, s):
+            left.setdefault(t, {})[s] = m
+    return right, left
+
+
+def _unity_equations(n: int):
+    """The equations e·Δᵢ = Δᵢ and Δᵢ·e = Δᵢ, one per generator i and
+    target t, as ({s: c}, δ_{it}) meaning Σ_s c·e_s = δ_{it}: c is
+    c(s,i,t) for the first and c(i,s,t) for the second."""
+    for i in range(d_dim(n)):
+        for cols in _multiplication_columns(n, i):
+            for t in set(cols) | {i}:
+                yield cols.get(t, {}), int(t == i)
+
+
 def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
     """The two-sided unity, or None.  Solves the linear system
     e·Δᵢ = Δᵢ = Δᵢ·e by incremental elimination; a unity is unique when it
-    exists, so the system is either inconsistent or determines e."""
+    exists, so the system is either inconsistent or determines e.
+
+    The equations have integer coefficients and `SpanBasis` eliminates
+    exactly over the given field (over Q fraction-free, each step scaling a
+    vector by a nonzero integer), so a pivot in the right-hand-side column
+    proves the system inconsistent.  Elimination stops once the
+    coefficients are determined; the candidate is then checked against
+    every equation in integer arithmetic, scaled by its common
+    denominator, so a returned element is a two-sided unity."""
     _check_cap(n, cap)
     dim = d_dim(n)
     aug = SpanBasis(field, dim + 1)
-
-    def equation_rows():
-        # e·Δᵢ = Δᵢ gives, for each target t: Σ_s c(s,i,t) e_s = δ_{it};
-        # Δᵢ·e = Δᵢ gives Σ_s c(i,s,t) e_s = δ_{it}.
-        for i in range(dim):
-            for flip in (False, True):
-                rows: dict[int, dict[int, int]] = {}
-                for s in range(dim):
-                    prod = _pair_product(n, *((i, s) if flip else (s, i)))
-                    for t, m in prod:
-                        rows.setdefault(t, {})[s] = m
-                for t in set(rows) | {i}:
-                    row = [field.zero] * (dim + 1)
-                    for s, m in rows.get(t, {}).items():
-                        row[s] = field.normalize(m)
-                    row[dim] = field.one if t == i else field.zero
-                    yield row
-
-    solved = False
-    for row in equation_rows():
+    for cols, rhs in _unity_equations(n):
+        row = [0] * (dim + 1)
+        for s, m in cols.items():
+            row[s] = m
+        row[dim] = rhs
         aug.insert(row)
         if dim in aug.pivots:
             return None
         if aug.rank() == dim:
-            solved = True
             break
-    if not solved:
+    else:
         raise ArithmeticError("unity system is underdetermined")
     coeffs = {}
     for row, pivot in zip(aug.rows, aug.pivots):
         coeffs[pivot] = row[dim]
-    candidate = DElement(n, field, coeffs)
-    for i in range(dim):
-        bi = _basis_delement(n, i, field)
-        if d_mul(candidate, bi) != bi or d_mul(bi, candidate) != bi:
+    # over F_p the coefficients are ints, with denominator 1
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    num = {s: c.numerator * (den // c.denominator) for s, c in coeffs.items()}
+    for cols, rhs in _unity_equations(n):
+        total = sum(num.get(s, 0) * m for s, m in cols.items())
+        if field.normalize(total - den * rhs):
             return None
-    return candidate
+    return DElement(n, field, coeffs)
 
 
 def center_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
-    """Dimension of {x : xΔᵢ = Δᵢx for all i}, by intersecting commutator
-    kernels; a weighted aggregate cut first keeps the candidate space
-    small."""
+    """Dimension of {x : xΔᵢ = Δᵢx for all i}: the nullity of the integer
+    system whose row for generator i and target t is c(s,i,t) − c(i,s,t)
+    over s.
+
+    The rows go into one `SpanBasis`, which eliminates exactly over the
+    given field; over Q it is fraction-free and each step scales a vector
+    by a nonzero integer, so the rank is the rank over Q, with no modular
+    step.  No early stop at full rank: Δ_{∅,∅} is central over every field
+    (both products with Δ_{B,A} are |A|!(n−|A|)!·Δ_{∅,∅}), so the rank stays
+    below the dimension."""
     _check_cap(n, cap)
     dim = d_dim(n)
-    vectors = [
-        DElement(n, field, {i: field.one}) for i in range(dim)
-    ]
-
-    def refine(vectors, g: DElement):
-        if not vectors:
-            return vectors
-        images = [d_mul(v, g) - d_mul(g, v) for v in vectors]
-        rows = [
-            [img.coeff(t) for img in images] for t in range(dim)
-        ]
-        null = DenseMatrix(field, rows, ncols=len(vectors)).nullspace()
-        out = []
-        for c in null:
-            combo = DElement.zero(n, field)
-            for s, cs in enumerate(c):
-                if cs:
-                    combo = combo + cs * vectors[s]
-            out.append(combo)
-        return out
-
-    aggregate = DElement(n, field, {i: field.normalize(i + 1) for i in range(dim)})
-    vectors = refine(vectors, aggregate)
+    span = SpanBasis(field, dim)
     for i in range(dim):
-        vectors = refine(vectors, _basis_delement(n, i, field))
-        if not vectors:
-            break
-    return len(vectors)
+        right, left = _multiplication_columns(n, i)
+        for t in set(right) | set(left):
+            row = [0] * dim
+            for s, m in right.get(t, {}).items():
+                row[s] = m
+            for s, m in left.get(t, {}).items():
+                row[s] -= m
+            if any(row):
+                span.insert(row)
+    return dim - span.rank()
 
 
 @lru_cache(maxsize=None)
@@ -440,13 +449,19 @@ def _unitalized_gram(n: int) -> list[list[int]]:
 def radical_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
     """Dimension of the Jacobson radical over the rationals, as the
     nullity of the trace form on the unitalization (the radical of the
-    unitalization lies inside the algebra, so the two radicals agree)."""
+    unitalization lies inside the algebra, so the two radicals agree).
+
+    The Gram matrix is integer and its rows go into a `SpanBasis` over Q,
+    which eliminates fraction-free: each step scales a vector by a nonzero
+    integer, so the rank is exact over Q, with no modular step."""
     _check_cap(n, cap)
     if field.characteristic != 0:
         raise ValueError("radical computation is supported over the rationals only")
     g = _unitalized_gram(n)
-    matrix = DenseMatrix(QQ, [[Fraction(x) for x in row] for row in g])
-    return d_dim(n) + 1 - matrix.rank_bareiss()
+    span = SpanBasis(QQ, len(g))
+    for row in g:
+        span.insert(row)
+    return len(g) - span.rank()
 
 
 def radical_basis(n: int, cap: int = DALG_CAP) -> list[DElement]:

@@ -5,11 +5,10 @@ Scalars are plain Python values: `Fraction` over the rationals, `int` in
 exactly when it is zero, which the elimination routines rely on.
 
 The workhorses are `DenseMatrix` (rank, nullspace, solve via exact Gaussian
-elimination, plus a fraction-free Bareiss rank for cross-checking) and
-`SpanBasis` (an incrementally maintained reduced echelon basis of a
-subspace, supporting membership, equality, sums and intersection
-dimensions).  Over Q, `SpanBasis` stores each row as a sparse primitive
-integer vector and eliminates by cross-multiplication, in the
+elimination) and `SpanBasis` (an incrementally maintained reduced echelon
+basis of a subspace, supporting membership, equality, sums and
+intersection dimensions).  Over Q, `SpanBasis` stores each row as a sparse
+primitive integer vector and eliminates by cross-multiplication, in the
 fraction-free manner of Bareiss, so it does no `Fraction` arithmetic.  Its
 answers are still exact over Q, not modular: each step multiplies a vector
 by a nonzero integer, which changes no span.  `min_dependency` finds the
@@ -175,11 +174,6 @@ def _scale(field, row: list, c) -> None:
                 row[j] = x * c % p
 
 
-def _pivot_weight(x) -> int:
-    """Bit size of a rational, for the smallest-pivot heuristic."""
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
 class DenseMatrix:
     """A dense matrix over an exact field; rows of scalars."""
 
@@ -219,8 +213,7 @@ class DenseMatrix:
             self.nrows,
         )
 
-    def _rref(self, rows: list[list], limit_cols: Optional[int] = None,
-              pivot_heuristic: bool = False) -> list[int]:
+    def _rref(self, rows: list[list], limit_cols: Optional[int] = None) -> list[int]:
         """Reduce `rows` in place to reduced row echelon form; return pivot
         columns.  Columns at `limit_cols` and beyond never host pivots (used
         for augmented solves)."""
@@ -232,20 +225,7 @@ class DenseMatrix:
         for col in range(stop):
             if r == len(rows):
                 break
-            best = -1
-            if pivot_heuristic and field.characteristic == 0:
-                weight = None
-                for i in range(r, len(rows)):
-                    x = rows[i][col]
-                    if x:
-                        wt = _pivot_weight(x)
-                        if weight is None or wt < weight:
-                            weight, best = wt, i
-            else:
-                for i in range(r, len(rows)):
-                    if rows[i][col]:
-                        best = i
-                        break
+            best = next((i for i in range(r, len(rows)) if rows[i][col]), -1)
             if best < 0:
                 continue
             rows[r], rows[best] = rows[best], rows[r]
@@ -261,48 +241,17 @@ class DenseMatrix:
             r += 1
         return pivots
 
-    def rref(self, pivot_heuristic: bool = False) -> tuple["DenseMatrix", list[int]]:
+    def rref(self) -> tuple["DenseMatrix", list[int]]:
         rows = [row[:] for row in self.rows]
-        pivots = self._rref(rows, pivot_heuristic=pivot_heuristic)
+        pivots = self._rref(rows)
         out = DenseMatrix.zeros(self.field, 0, self.ncols)
         out.rows = rows
         out.nrows = len(rows)
         return out, pivots
 
-    def rank(self, pivot_heuristic: bool = False) -> int:
+    def rank(self) -> int:
         rows = [row[:] for row in self.rows]
-        return len(self._rref(rows, pivot_heuristic=pivot_heuristic))
-
-    def rank_bareiss(self) -> int:
-        """Fraction-free rank for cross-checking; rationals only."""
-        if self.field.characteristic != 0:
-            raise ValueError("Bareiss backend is for the rational field")
-        rows = []
-        for row in self.rows:
-            den = 1
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-            rows.append([int(x * den) for x in row])
-        r = 0
-        prev = 1
-        for col in range(self.ncols):
-            piv = next((i for i in range(r, len(rows)) if rows[i][col]), -1)
-            if piv < 0:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            pv = rows[r][col]
-            for i in range(r + 1, len(rows)):
-                ri, rr = rows[i], rows[r]
-                ci = ri[col]
-                for j in range(col, self.ncols):
-                    q, rem = divmod(pv * ri[j] - ci * rr[j], prev)
-                    assert rem == 0, "Bareiss division not exact"
-                    ri[j] = q
-            prev = pv
-            r += 1
-            if r == len(rows):
-                break
-        return r
+        return len(self._rref(rows))
 
     def nullspace(self) -> list[list]:
         """Basis of {x : self·x = 0}."""

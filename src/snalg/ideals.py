@@ -201,6 +201,8 @@ def verify_row_main(
     invertible), sampled spanning, quotient bases, antipode stability, and
     generation of J_k by a single antisymmetrizer."""
     _check_cap(n, cap)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rep = Report("verify_row_main", n=n, k=k, field=field.name)
     rng = random.Random(seed)
     n_fact = factorial(n)

@@ -329,6 +329,8 @@ def product_rule_fuzz(n: int, trials: int = 200, seed: int = 0, field=QQ) -> "Re
 
     if not 1 <= n <= PRODUCT_RULE_B_MAX_N:
         raise ValueError(f"n = {n} outside supported range 1..{PRODUCT_RULE_B_MAX_N}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     exhaustive = n <= 4
     rep = Report(
         "product_rule_fuzz",

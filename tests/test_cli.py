@@ -228,3 +228,23 @@ def test_arithmetic_errors_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(snalg.cli, "product_rule_fuzz", division)
     assert main(["product-fuzz", "--n", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, accepted",
+    [
+        (["ideal-suite", "--n", "3", "--k", "-1"], "--k", "0..3"),
+        (["ideal-suite", "--n", "3", "--k", "4"], "--k", "0..3"),
+        (["annihilators", "--n", "3", "--k", "0"], "--k", "1..3"),
+        (["counts", "--n", "4", "--k", "5"], "--k", "0..4"),
+        (["counts", "--n", "4", "--k", "2", "--l", "-1"], "--l", "0..4"),
+        (["mixed-quotient", "--n", "3", "--k", "1", "--l", "4"], "--l", "0..3"),
+    ],
+)
+def test_out_of_range_index_exit_2(capsys, argv, flag, accepted):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be in {accepted}" in err
+    assert "pattern length" not in err and "Traceback" not in err

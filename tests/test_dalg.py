@@ -23,7 +23,7 @@ from snalg.dalg import (
     to_group_algebra,
     unity_find,
 )
-from snalg.exactla import GF, QQ, SpanBasis
+from snalg.exactla import GF, QQ, DenseMatrix, SpanBasis
 from snalg.groupalg import mul as algebra_mul
 from snalg.perm import enumerate_av
 from snalg.rook import Subset, nabla
@@ -189,6 +189,20 @@ def test_unity_is_two_sided_identity():
     assert d_mul(e, e) == e
 
 
+def test_unity_candidate_is_checked_against_every_equation(monkeypatch):
+    # e_0 = 1 and e_1 = 0 determine a candidate before the last equation,
+    # e_0 + e_1 = 0, is reached; only the final check can reject it
+    import snalg.dalg
+
+    def equations(n):
+        yield {0: 1}, 1
+        yield {1: 1}, 0
+        yield {0: 1, 1: 1}, 0
+
+    monkeypatch.setattr(snalg.dalg, "_unity_equations", equations)
+    assert unity_find(1) is None
+
+
 def test_no_unity_over_f2_at_n2():
     assert unity_find(2, GF(2)) is None
 
@@ -211,10 +225,51 @@ def test_center_dims_small():
     assert center_dim(3) == 4
 
 
+def reference_center_dim(n, field):
+    """The center as the common kernel of x ↦ xΔᵢ − Δᵢx over the basis
+    symbols, built from DElement products and solved by
+    DenseMatrix.nullspace."""
+    gens = [DElement(n, field, {i: field.one}) for i in range(d_dim(n))]
+    rows = []
+    for g in gens:
+        images = [d_mul(x, g) - d_mul(g, x) for x in gens]
+        rows += [[img.coeff(t) for img in images] for t in range(d_dim(n))]
+    return len(DenseMatrix(field, rows).nullspace())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_center_dim_matches_commutator_kernel(n, field):
+    assert center_dim(n, field) == reference_center_dim(n, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
+def test_empty_symbol_is_central(field):
+    # why center_dim never meets a full-rank commutator system
+    for n in (1, 2, 3, 4):
+        u = DElement.basis(n, Subset(n), Subset(n), field)
+        for b, a in basis_pairs(n):
+            x = DElement.basis(n, b, a, field)
+            w = factorial(b.size) * factorial(n - b.size)
+            assert d_mul(u, x) == d_mul(x, u) == w * u
+
+
+@pytest.mark.parametrize("p, want", [(2, 62), (3, 29), (5, 5)])
+def test_center_dim_n4_over_prime_fields(p, want):
+    # values recorded with the DElement/nullspace implementation
+    assert center_dim(4, GF(p)) == want
+
+
 def test_radical_dims_small():
     assert radical_dim(2) == 3
     assert radical_dim(3) == 5
     assert radical_dim(4) == 39
+
+
+def test_radical_dim_matches_nullspace_basis():
+    # the span rank against an independent Fraction nullspace
+    for n in (2, 3, 4):
+        assert len(radical_basis(n)) == radical_dim(n)
 
 
 def test_radical_rejects_prime_fields():

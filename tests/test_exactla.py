@@ -79,8 +79,10 @@ def test_rank_nullity_and_bareiss_agree():
         ncols = rng.randint(1, 6)
         m = random_rational_matrix(rng, nrows, ncols)
         r = m.rank()
-        assert r == m.rank(pivot_heuristic=True)
-        assert r == m.rank_bareiss()
+        span = SpanBasis(QQ, ncols)
+        for row in m.rows:
+            span.insert(row)
+        assert r == span.rank()
         ns = m.nullspace()
         assert r + len(ns) == ncols
         for v in ns:

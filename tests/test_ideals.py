@@ -163,6 +163,12 @@ class TestVerifyRowMain:
                 rep = verify_row_main(n, k)
                 assert rep.passed, str(rep)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_refuses_no_trials(self, trials):
+        # the sampled spanning checks must not pass after zero cases
+        with pytest.raises(ValueError, match="trials"):
+            verify_row_main(3, 1, trials=trials)
+
     def test_prime_field_coprime_runs_direct_sum(self):
         rep = verify_row_main(4, 2, GF(7))
         assert rep.passed, str(rep)

@@ -35,6 +35,7 @@ from snalg.rook import (
     product_rule_a,
     product_rule_b,
     product_rule_c,
+    product_rule_fuzz,
     subsets_of_size,
     triangular_annihilation,
 )
@@ -297,6 +298,13 @@ def test_product_rules_size_errors():
     big = Subset(9, [1])
     with pytest.raises(ValueError, match="capped"):
         product_rule_b(big, big, big, big)
+
+
+@pytest.mark.parametrize("n, trials", [(5, 0), (5, -2), (3, 0)])
+def test_product_rule_fuzz_refuses_no_trials(n, trials):
+    # a sampled check that ran zero cases must not report a pass
+    with pytest.raises(ValueError, match="trials"):
+        product_rule_fuzz(n, trials=trials)
 
 
 def test_pair_count_lemma():
