@@ -1,19 +1,23 @@
-"""Exact scalars and dense linear algebra over Q and prime fields.
+"""Exact scalars and linear algebra over Q and prime fields.
 
 Scalars are plain Python values: `Fraction` over the rationals, `int` in
 [0, p) over a prime field.  In both representations a scalar is falsy
 exactly when it is zero, which the elimination routines rely on.
 
-The workhorses are `DenseMatrix` (rank, nullspace, solve via exact Gaussian
-elimination) and `SpanBasis` (an incrementally maintained reduced echelon
-basis of a subspace, supporting membership, equality, sums and
-intersection dimensions).  Over Q, `SpanBasis` stores each row as a sparse
-primitive integer vector and eliminates by cross-multiplication, in the
-fraction-free manner of Bareiss, so it does no `Fraction` arithmetic.  Its
-answers are still exact over Q, not modular: each step multiplies a vector
-by a nonzero integer, which changes no span.  `min_dependency` finds the
-first linear dependency in a vector sequence, the engine behind minimal
-polynomials.
+`SpanBasis` is the elimination kernel: an incrementally maintained reduced
+echelon basis of a subspace, supporting rank, membership, equality, sums
+and intersection dimensions.  Over both fields it stores each row as a
+sparse {column: int} dict and reduces a vector in one dense integer
+working list.  Over F_p a row has pivot entry 1 and the working list is
+brought into [0, p) once, at the end.  Over Q a row is a primitive integer
+vector and elimination is by cross-multiplication, in the fraction-free
+manner of Bareiss, so no `Fraction` arithmetic happens.  The answers over
+Q are still exact, not modular: each step multiplies a vector by a nonzero
+integer, which changes no span.  `SpanBasis.insert_tagged` appends a unit
+tag to each vector of a sequence, so the first linear dependency can be
+read off the tags; `min_dependency` and the Krylov loop behind minimal
+polynomials use it.  `DenseMatrix` gives the rank, reduced echelon form
+and nullspace of a dense matrix by exact Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ __all__ = [
     "min_dependency",
     "rank",
     "nullspace",
-    "solve",
     "span_insert",
     "span_contains",
     "span_equal",
@@ -199,30 +202,13 @@ class DenseMatrix:
     def zeros(cls, field, nrows: int, ncols: int) -> "DenseMatrix":
         return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
 
-    @classmethod
-    def identity(cls, field, n: int) -> "DenseMatrix":
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
-
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
-
-    def _rref(self, rows: list[list], limit_cols: Optional[int] = None) -> list[int]:
+    def _rref(self, rows: list[list]) -> list[int]:
         """Reduce `rows` in place to reduced row echelon form; return pivot
-        columns.  Columns at `limit_cols` and beyond never host pivots (used
-        for augmented solves)."""
+        columns."""
         field = self.field
-        ncols = len(rows[0]) if rows else 0
-        stop = ncols if limit_cols is None else limit_cols
         pivots = []
         r = 0
-        for col in range(stop):
+        for col in range(self.ncols):
             if r == len(rows):
                 break
             best = next((i for i in range(r, len(rows)) if rows[i][col]), -1)
@@ -272,37 +258,6 @@ class DenseMatrix:
             basis.append(vec)
         return basis
 
-    def solve(self, rhs: Sequence) -> Optional[list]:
-        """Some x with self·x = rhs, or None if inconsistent."""
-        if len(rhs) != self.nrows:
-            raise ValueError("rhs length mismatch")
-        field = self.field
-        rows = [row[:] + [field.normalize(b)] for row, b in zip(self.rows, rhs)]
-        if not rows:
-            return [] if self.ncols == 0 else [field.zero] * self.ncols
-        pivots = self._rref(rows, limit_cols=self.ncols)
-        npiv = len(pivots)
-        for row in rows[npiv:]:
-            if row[self.ncols]:
-                return None
-        x = [field.zero] * self.ncols
-        for i, pc in enumerate(pivots):
-            x[pc] = rows[i][self.ncols]
-        return x
-
-    def matvec(self, x: Sequence) -> list:
-        if len(x) != self.ncols:
-            raise ValueError("vector length mismatch")
-        field = self.field
-        out = []
-        for row in self.rows:
-            acc = field.zero
-            for a, b in zip(row, x):
-                if a and b:
-                    acc += a * b
-            out.append(field.normalize(acc))
-        return out
-
     def __repr__(self) -> str:
         return f"DenseMatrix({self.field!r}, {self.nrows}x{self.ncols})"
 
@@ -313,10 +268,6 @@ def rank(m: DenseMatrix) -> int:
 
 def nullspace(m: DenseMatrix) -> list[list]:
     return m.nullspace()
-
-
-def solve(m: DenseMatrix, rhs: Sequence) -> Optional[list]:
-    return m.solve(rhs)
 
 
 def _integer_vector(v: Sequence) -> list[int]:
@@ -337,21 +288,23 @@ class SpanBasis:
     """A subspace kept as a reduced echelon basis.
 
     Every other stored row vanishes at a row's pivot column, and rows are
-    ordered by pivot column.  Over a prime field a row is a list of scalars
-    with pivot entry 1.  Over Q a row is a primitive integer vector (its
-    entries have gcd 1) with a positive pivot entry, kept sparse as a
-    {column: nonzero int} dict: the reduced echelon row times the one
-    positive rational that makes it so.  Either way the stored rows are
+    ordered by pivot column.  A row is kept sparse as a {column: nonzero
+    int} dict.  Over a prime field its entries lie in [0, p) and its pivot
+    entry is 1.  Over Q it is a primitive integer vector (its entries have
+    gcd 1) with a positive pivot entry: the reduced echelon row times the
+    one positive rational that makes it so.  Either way the stored rows are
     unique to the span, so equality of subspaces is equality of stored rows.
 
-    Over Q no `Fraction` arithmetic happens.  A vector is cleared of
-    denominators on entry, which does not change the line it spans.
-    Reducing v by a row with pivot entry d and c = v[pivot] replaces v by
-    (d/g)·v − (c/g)·row with g = gcd(c, d): integer arithmetic that scales
-    v by a nonzero integer, so the reduced vector is zero exactly when v
-    lies in the span.  Rank, membership and equality are therefore exact
-    over Q, with no modular step.  The `rows` property converts back to
-    pivot-1 rows of field scalars.
+    A vector is reduced in a dense integer working list.  Over F_p the
+    entries may leave [0, p) during the reduction and are brought back once
+    at the end.  Over Q no `Fraction` arithmetic happens: a vector is
+    cleared of denominators on entry, which does not change the line it
+    spans, and reducing v by a row with pivot entry d and c = v[pivot]
+    replaces v by (d/g)·v − (c/g)·row with g = gcd(c, d).  That scales v
+    by a nonzero integer, so the reduced vector is zero exactly when v lies
+    in the span.  Rank, membership and equality are therefore exact over
+    Q, with no modular step.  The `rows` property converts back to pivot-1
+    rows of field scalars.
     """
 
     __slots__ = ("field", "ambient", "_rows", "_pivots")
@@ -359,16 +312,14 @@ class SpanBasis:
     def __init__(self, field, ambient: int):
         self.field = field
         self.ambient = ambient
-        self._rows: list = []
+        self._rows: list[dict[int, int]] = []
         self._pivots: list[int] = []
 
     def rank(self) -> int:
         return len(self._rows)
 
-    def _dense_rows(self) -> list[list]:
-        """The stored rows as dense lists (integers over Q)."""
-        if self.field.characteristic:
-            return [row[:] for row in self._rows]
+    def _dense_rows(self) -> list[list[int]]:
+        """The stored rows as dense integer lists."""
         dense = []
         for row in self._rows:
             vec = [0] * self.ambient
@@ -391,81 +342,105 @@ class SpanBasis:
     def pivots(self) -> list[int]:
         return self._pivots[:]
 
-    def _entry(self, v: Sequence) -> list:
-        """v as a dense list: field scalars over F_p, an integer multiple
-        of v over Q."""
+    def _entry(self, v: Sequence) -> list[int]:
+        """v as a fresh dense integer list: a representative of v mod p
+        over F_p, an integer multiple of v over Q."""
         if len(v) != self.ambient:
             raise ValueError(f"vector length {len(v)} != ambient {self.ambient}")
         field = self.field
-        if field.characteristic:
-            return [field.normalize(x) for x in v]
-        return _integer_vector(v)
+        if not field.characteristic:
+            return _integer_vector(v)
+        if {*map(type, v)} <= {int}:  # ints need no reduction before _reduce
+            return list(v)
+        return [field.normalize(x) for x in v]
 
-    def _reduce(self, v: list) -> list:
-        """v minus its components along the stored rows; over Q the result
-        is scaled by a nonzero integer."""
-        field = self.field
-        p = field.characteristic
-        if p:
-            for row, pc in zip(self._rows, self._pivots):
-                c = v[pc]
-                if c:
-                    _axpy(field, v, row, p - c)
-            return v
+    def _reduce(self, v: list[int]) -> list[int]:
+        """v minus its components along the stored rows, in [0, p) over
+        F_p; over Q the result is scaled by a nonzero integer."""
+        p = self.field.characteristic
         for row, pc in zip(self._rows, self._pivots):
-            c = v[pc]
+            c = v[pc] % p if p else v[pc]
             if c:
-                d = row[pc]
-                g = gcd(c, d)
-                a, b = d // g, c // g
-                if a != 1:
-                    v = [a * x for x in v]
+                d = row[pc]  # 1 over F_p
+                if d != 1:
+                    g = gcd(c, d)
+                    a, c = d // g, c // g
+                    if a != 1:
+                        v = [a * x for x in v]
                 for j, y in row.items():
-                    v[j] -= b * y
-        return v
+                    v[j] -= c * y
+        return [x % p for x in v] if p else v
 
-    def insert(self, v: Sequence) -> bool:
-        """Add v to the span; True iff the rank grew."""
-        field = self.field
-        v = self._reduce(self._entry(v))
-        col = next((j for j, x in enumerate(v) if x), -1)
-        if col < 0:
-            return False
-        rows = self._rows
-        if field.characteristic:
-            c = v[col]
-            if c != field.one:
-                _scale(field, v, field.inv(c))
-            for row in rows:
-                x = row[col]
-                if x:
-                    _axpy(field, row, v, field.p - x)
+    def _store(self, v: list[int], col: int) -> None:
+        """Add the reduced nonzero vector v, whose first nonzero entry is at
+        `col`, as a row, and clear column `col` from the other rows."""
+        p = self.field.characteristic
+        if p:
+            inv = pow(v[col], -1, p)
+            v = {j: x * inv % p for j, x in enumerate(v) if x}
         else:
             g = gcd(*v) if v[col] > 0 else -gcd(*v)
             v = {j: x // g for j, x in enumerate(v) if x}
-            d = v[col]
-            for i, row in enumerate(rows):
-                x = row.get(col)
-                if x:
-                    # row <- (d/g)·row - (x/g)·v; d/g > 0 keeps the row's
-                    # own pivot entry positive, and v is 0 there
-                    g = gcd(x, d)
-                    a, b = d // g, x // g
-                    if a != 1:
-                        row = {j: a * y for j, y in row.items()}
-                    for j, z in v.items():
-                        y = row.get(j, 0) - b * z
-                        if y:
-                            row[j] = y
-                        else:
-                            del row[j]
+        d = v[col]
+        rows = self._rows
+        for i, row in enumerate(rows):
+            x = row.get(col)
+            if x:
+                # row <- (d/g)·row - (x/g)·v; d/g > 0 keeps the row's own
+                # pivot entry positive, and v is 0 there
+                g = gcd(x, d)
+                a, b = d // g, x // g
+                if a != 1:
+                    row = {j: a * y for j, y in row.items()}
+                for j, z in v.items():
+                    y = row.get(j, 0) - b * z
+                    if p:
+                        y %= p
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                if not p:
                     g = gcd(*row.values())
-                    rows[i] = row if g == 1 else {j: y // g for j, y in row.items()}
+                    if g != 1:
+                        row = {j: y // g for j, y in row.items()}
+                rows[i] = row
         at = next((i for i, pc in enumerate(self._pivots) if pc > col),
                   len(self._pivots))
         rows.insert(at, v)
         self._pivots.insert(at, col)
+
+    def insert(self, v: Sequence) -> bool:
+        """Add v to the span; True iff the rank grew."""
+        v = self._reduce(self._entry(v))
+        col = next((j for j, x in enumerate(v) if x), -1)
+        if col < 0:
+            return False
+        self._store(v, col)
         return True
+
+    def insert_tagged(self, v: Sequence, m: int) -> Optional[list]:
+        """Insert the m-th vector v of a sequence, tagged: as [v | e_m],
+        where e_m is the m-th unit vector of the last ambient − len(v)
+        columns.  Tags keep track of how a reduced vector combines the
+        inputs, since each input is the only one carrying its own tag.
+
+        Returns None if v is independent of the vectors inserted before it,
+        which are the sequence's vectors 0..m−1.  Otherwise the span is left
+        as it was, and the result is the coefficients (c_0, ..., c_m), with
+        c_m = 1, of the dependency c_0 v_0 + ... + c_m v_m = 0."""
+        split = len(v)
+        tagged = list(v) + [0] * (self.ambient - split)
+        tagged[split + m] = 1
+        w = self._reduce(self._entry(tagged))
+        col = next((j for j, x in enumerate(w) if x), -1)
+        if 0 <= col < split:
+            self._store(w, col)
+            return None
+        # the v-part reduced to zero, and only v_m carries tag m
+        field = self.field
+        inv = field.inv(w[split + m])
+        return [field.normalize(x * inv) for x in w[split:split + m + 1]]
 
     def contains(self, v: Sequence) -> bool:
         return not any(self._reduce(self._entry(v)))
@@ -541,30 +516,9 @@ def min_dependency(vectors: Sequence[Sequence], field=QQ) -> list:
     ExtendRequired if the whole sequence is independent."""
     if not vectors:
         raise ValueError("empty vector sequence")
-    rows: list[list] = []  # reduced echelon rows, pivot entry 1
-    pivots: list[int] = []
-    history: list[list] = []  # stored rows' coordinates in the inputs
+    span = SpanBasis(field, len(vectors[0]) + len(vectors))
     for m, v in enumerate(vectors):
-        v = [field.normalize(x) for x in v]
-        coords = [field.zero] * m + [field.one]
-        for row, pc, hist in zip(rows, pivots, history):
-            c = v[pc]
-            if c:
-                neg = -c if field.characteristic == 0 else field.p - c
-                _axpy(field, v, row, neg)
-                if len(hist) < len(coords):
-                    hist += [field.zero] * (len(coords) - len(hist))
-                _axpy(field, coords, hist, neg)
-        col = next((j for j, x in enumerate(v) if x), -1)
-        if col < 0:
-            # invariant: sum_j coords[j] v_j = reduced v = 0, coords[m] = 1
-            return coords
-        inv = field.inv(v[col])
-        if inv != field.one:
-            _scale(field, v, inv)
-            _scale(field, coords, inv)
-        at = next((i for i, pc in enumerate(pivots) if pc > col), len(pivots))
-        rows.insert(at, v)
-        pivots.insert(at, col)
-        history.insert(at, coords)
+        dep = span.insert_tagged(v, m)
+        if dep is not None:
+            return dep
     raise ExtendRequired(f"{len(vectors)} vectors are linearly independent")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial, gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
-from snalg.exactla import QQ, ExtendRequired, min_dependency
+from snalg.exactla import QQ, SpanBasis
 from snalg.perm import Permutation, compose
 from snalg.perm import inverse as perm_inverse
 from snalg.perm import sign as perm_sign
@@ -565,19 +565,16 @@ class MinimalPolynomial:
 
 def element_min_poly(a: AlgebraElement) -> MinimalPolynomial:
     """Minimal monic p in Q[x] with p(a) = 0 in the algebra.  Powers of a
-    enter a Krylov sequence until the first linear dependency appears."""
+    enter one tagged span, a Krylov sequence, until the first linear
+    dependency appears; by Cayley-Hamilton it comes within n! + 1 powers."""
     if a.field.characteristic != 0:
         raise ValueError("minimal polynomials are computed over the rationals")
-    vectors = [AlgebraElement.one(a.n, a.field).to_vector()]
+    dim = factorial(a.n)
+    span = SpanBasis(a.field, 2 * dim + 1)
     power = AlgebraElement.one(a.n, a.field)
-    bound = factorial(a.n) + 1
-    while True:
-        try:
-            dep = min_dependency(vectors, field=a.field)
-        except ExtendRequired:
-            if len(vectors) >= bound:
-                raise AssertionError("no dependency within the algebra dimension")
-            power = mul(power, a)
-            vectors.append(power.to_vector())
-            continue
-        return MinimalPolynomial(dep)
+    for m in range(dim + 1):
+        dep = span.insert_tagged(power.to_vector(), m)
+        if dep is not None:
+            return MinimalPolynomial(dep)
+        power = mul(power, a)
+    raise AssertionError("no dependency within the algebra dimension")

@@ -31,7 +31,6 @@ __all__ = [
     "compose",
     "inverse",
     "sign",
-    "lex_cmp",
     "all_permutations",
     "lis_length",
     "lds_length",
@@ -190,15 +189,6 @@ def sign(w: Permutation) -> int:
         if length % 2 == 0:
             s = -s
     return s
-
-
-def lex_cmp(u: Permutation, v: Permutation) -> int:
-    """-1, 0 or 1: compare one-line notations at the first disagreement."""
-    if u._img < v._img:
-        return -1
-    if u._img > v._img:
-        return 1
-    return 0
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

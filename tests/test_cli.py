@@ -2,6 +2,7 @@
 golden-table diffing, and byte-determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +249,26 @@ def test_out_of_range_index_exit_2(capsys, argv, flag, accepted):
     err = capsys.readouterr().err
     assert f"argument {flag}: must be in {accepted}" in err
     assert "pattern length" not in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# byte identity with recorded output (the prime-field elimination path)
+
+GUARDED = {
+    "ideal_suite_n4_k2_fp7": ["ideal-suite", "--n", "4", "--k", "2", "--field", "Fp:7"],
+    "mixed_quotient_n4_k2_l1_fp3": [
+        "mixed-quotient", "--n", "4", "--k", "2", "--l", "1", "--field", "Fp:3"
+    ],
+    "annihilators_n4_k2_fp7": ["annihilators", "--n", "4", "--k", "2", "--field", "Fp:7"],
+    "cross_char_n4": ["cross-char", "--n", "4"],
+    "dalg_stats_n4_fp3": ["dalg-stats", "--n", "4", "--field", "Fp:3"],
+}
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_stdout_matches_recorded_bytes(capsys, name, fmt, ext):
+    want = (Path(__file__).parent / "data" / f"{name}.{ext}").read_text()
+    code, out = run(capsys, *GUARDED[name], "--format", fmt)
+    assert code == 0
+    assert out == want

@@ -1,6 +1,7 @@
 """Tests for the abstract Δ-algebra: small multiplication tables, unity
 formulas, center/radical dimensions, and the homomorphism onto rook sums."""
 
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -355,6 +356,26 @@ def test_quotient_map_sampled_n4():
     rep = quotient_map_check(4, trials=60, seed=3)
     assert rep.passed
     assert rep.data["pairs"] == 60
+
+
+@pytest.mark.parametrize("field", (QQ, GF(5)), ids=("Q", "F5"))
+def test_quotient_map_multiplicative_on_random_elements(field):
+    rng = random.Random(2718)
+    for n in (2, 3, 4):
+        dim = d_dim(n)
+
+        def random_element():
+            size = rng.randint(1, 6)
+            return DElement(n, field, {
+                rng.randrange(dim): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                for _ in range(size)
+            })
+
+        for _ in range(8):
+            x, y = random_element(), random_element()
+            assert to_group_algebra(d_mul(x, y)) == algebra_mul(
+                to_group_algebra(x), to_group_algebra(y)
+            ), (n, x, y)
 
 
 def test_quotient_map_image_rank_is_catalan():

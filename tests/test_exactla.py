@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,6 @@ from snalg.exactla import (
     nullspace,
     rank,
     require_invertible_factorial,
-    solve,
     span_contains,
     span_equal,
     span_insert,
@@ -66,8 +66,12 @@ def test_require_invertible_factorial():
         require_invertible_factorial(GF(2), 4)
 
 
+def matvec(m, x):
+    return [m.field.normalize(sum(a * b for a, b in zip(row, x))) for row in m.rows]
+
+
 def test_rank_examples():
-    assert rank(DenseMatrix.identity(QQ, 5)) == 5
+    assert rank(DenseMatrix(QQ, [[int(i == j) for j in range(5)] for i in range(5)])) == 5
     assert len(nullspace(DenseMatrix.zeros(QQ, 3, 4))) == 4
     assert rank(DenseMatrix(QQ, [[1, 2], [2, 4]])) == 1
 
@@ -86,7 +90,7 @@ def test_rank_nullity_and_bareiss_agree():
         ns = m.nullspace()
         assert r + len(ns) == ncols
         for v in ns:
-            assert not any(m.matvec(v))
+            assert not any(matvec(m, v))
 
 
 def test_rank_over_prime_field():
@@ -102,25 +106,7 @@ def test_rank_over_prime_field():
         assert m.rank() <= mq.rank()
 
 
-def test_solve():
-    m = DenseMatrix(QQ, [[1, 2], [3, 4]])
-    x = solve(m, [5, 6])
-    assert m.matvec(x) == [Fraction(5), Fraction(6)]
-    inconsistent = DenseMatrix(QQ, [[1, 1], [2, 2]])
-    assert solve(inconsistent, [1, 3]) is None
-    assert solve(inconsistent, [1, 2]) is not None
-    rng = random.Random(7)
-    for _ in range(15):
-        m = random_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        target = [Fraction(rng.randint(-3, 3)) for _ in range(m.ncols)]
-        rhs = m.matvec(target)
-        x = m.solve(rhs)
-        assert x is not None and m.matvec(x) == rhs
-
-
-def test_solve_dimension_error():
-    with pytest.raises(ValueError):
-        DenseMatrix(QQ, [[1, 2]]).solve([1, 2])
+def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         DenseMatrix(QQ, [[1, 2], [3]])
 
@@ -326,3 +312,143 @@ def test_cross_char_gap_q_vs_f2():
 
     assert cross_char_intersection(3, QQ) == 4
     assert cross_char_intersection(3, GF(2)) == 5
+
+
+PRIMES = (2, 3, 7, 2**31 - 1)
+
+
+def random_fp_vector(rng, p, ncols, density=0.6):
+    """Entries as any int representative of their residue, so the entry
+    path sees negatives and values >= p too."""
+    return [rng.randrange(-2 * p, 2 * p) if rng.random() < density else 0 for _ in range(ncols)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_span_matches_dense_rref_over_fp(p):
+    f = GF(p)
+    rng = random.Random(p)
+    for _ in range(30):
+        ncols = rng.randint(1, 8)
+        vectors = [random_fp_vector(rng, p, ncols) for _ in range(rng.randint(1, 9))]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            c = rng.randrange(p)
+            vectors.append([x + c * y for x, y in zip(a, b)])
+        reduced, pivots = DenseMatrix(f, vectors).rref()
+        want_rows = reduced.rows[: len(pivots)]
+        s = SpanBasis(f, ncols)
+        for v in vectors:
+            s.insert(v)
+        assert s.rank() == len(pivots)
+        assert s.pivots == pivots
+        assert s.rows == want_rows
+        shuffled = vectors[:]
+        rng.shuffle(shuffled)
+        t = SpanBasis(f, ncols)
+        for v in shuffled:
+            t.insert([f.normalize(x) for x in v])
+        assert span_equal(s, t) and t.rows == want_rows
+        for _ in range(5):
+            probe = random_fp_vector(rng, p, ncols)
+            assert s.contains(probe) == (
+                DenseMatrix(f, vectors + [probe]).rank() == len(pivots)
+            )
+        combo = [0] * ncols
+        for v in vectors:
+            c = rng.randrange(p)
+            combo = [x + c * y for x, y in zip(combo, v)]
+        assert s.contains(combo)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_span_rows_over_fp_are_sparse_with_pivot_one(p):
+    rng = random.Random(3 * p)
+    s = SpanBasis(GF(p), 7)
+    for _ in range(12):
+        s.insert(random_fp_vector(rng, p, 7))
+    assert s.rank() >= 1
+    for row, pc in zip(s._rows, s.pivots):
+        assert min(row) == pc and row[pc] == 1
+        assert all(type(x) is int and 0 < x < p for x in row.values())
+        assert not any(opc in row for opc in s.pivots if opc != pc)
+
+
+def test_span_fp_entry_accepts_fractions_and_rejects_bad_denominators():
+    f = GF(7)
+    s = SpanBasis(f, 2)
+    assert s.insert([Fraction(1, 2), Fraction(-3)])  # (4, 4) mod 7
+    assert s.contains([1, 1])
+    assert s.rows == [[1, 1]]
+    with pytest.raises(ZeroDivisionError):
+        s.insert([Fraction(1, 7), 0])
+    with pytest.raises(ZeroDivisionError):
+        s.contains([0, Fraction(3, 14)])
+    assert s.rank() == 1
+
+
+def test_fp_span_sum_and_intersection():
+    f = GF(3)
+    x = SpanBasis(f, 3)
+    x.insert([1, 1, 0])
+    y = SpanBasis(f, 3)
+    y.insert([2, 2, 0])
+    y.insert([0, 1, 2])
+    assert span_sum_rank(x, y) == 2
+    assert span_intersection_dim(x, y) == 1
+    z = y.copy()
+    z.insert([0, 0, 1])
+    assert z.rank() == 3 and y.rank() == 2 and z != y
+
+
+@pytest.mark.parametrize("p", (3, 7, 2**31 - 1))
+def test_min_dependency_random_over_fp(p):
+    f = GF(p)
+    rng = random.Random(p + 1)
+    for _ in range(20):
+        dim = rng.randint(2, 5)
+        vectors = [random_fp_vector(rng, p, dim, 0.8) for _ in range(dim + 2)]
+        dep = min_dependency(vectors, field=f)
+        m = len(dep) - 1
+        assert dep[m] == 1 and all(0 <= c < p for c in dep)
+        assert not any(
+            sum(dep[i] * vectors[i][j] for i in range(m + 1)) % p for j in range(dim)
+        )
+        if m:
+            with pytest.raises(ExtendRequired):
+                min_dependency(vectors[:m], field=f)
+
+
+def test_insert_tagged_leaves_span_unchanged_on_dependency():
+    s = SpanBasis(QQ, 2 + 3)
+    assert s.insert_tagged([1, 2], 0) is None
+    assert s.insert_tagged([0, 1], 1) is None
+    before = s.copy()
+    assert s.insert_tagged([2, 7], 2) == [-2, -3, 1]
+    assert s == before
+
+
+def test_min_poly_matches_recorded_krylov_dependencies():
+    """Every kappa row at n <= 5: the minimal polynomial coefficients as
+    recorded from the earlier Fraction-row min_dependency, and the same
+    dependency found by min_dependency on the explicit power list."""
+    from snalg.groupalg import AlgebraElement, element_min_poly, mul
+    from snalg.rook import kappa, kappa_rows
+
+    table = Path(__file__).parent / "data" / "kappa_minpoly_coeffs.tsv"
+    recorded = {}
+    for line in table.read_text().splitlines()[1:]:
+        n, a, b, c, coeffs = line.split("\t")
+        recorded[int(n), int(a), int(b), int(c)] = [Fraction(x) for x in coeffs.split()]
+    rows = [(n, *abc) for n in range(1, 6) for abc in kappa_rows(n)]
+    assert sorted(rows) == sorted(recorded)
+    for n, a, b, c in rows:
+        want = recorded[n, a, b, c]
+        elem = kappa(n, a, b, c)
+        assert list(element_min_poly(elem).coeffs) == want
+        powers = [AlgebraElement.one(n, QQ)]
+        for _ in range(len(want) - 1):
+            powers.append(mul(powers[-1], elem))
+        vectors = [x.to_vector() for x in powers]
+        assert min_dependency(vectors) == want
+        with pytest.raises(ExtendRequired):
+            min_dependency(vectors[:-1])

@@ -245,6 +245,16 @@ class TestTwinAndMixed:
         rep = mixed_quotient_check(3, 1, 1, GF(3))
         assert rep.passed, str(rep)
 
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_mixed_quotient_ranks_agree_over_q_and_f7(self, n):
+        # 7 does not divide n! for n <= 5, so the ranks must agree
+        for k in range(1, n):
+            for l in range(1, n):
+                q = mixed_quotient_check(n, k, l, QQ)
+                f7 = mixed_quotient_check(n, k, l, GF(7))
+                assert q.passed and f7.passed, (k, l)
+                assert q.data == f7.data, (k, l)
+
 
 class TestCrossChar:
     def test_published_data_point(self):
