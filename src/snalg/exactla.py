@@ -5,11 +5,12 @@ Scalars are plain Python values: `Fraction` over the rationals, `int` in
 exactly when it is zero, which the elimination routines rely on.
 
 `SpanBasis` is the elimination kernel: an incrementally maintained reduced
-echelon basis of a subspace, supporting rank, membership, equality, sums
-and intersection dimensions.  Over both fields it stores each row as a
-sparse {column: int} dict and reduces a vector in one dense integer
-working list.  Over F_p a row has pivot entry 1 and the working list is
-brought into [0, p) once, at the end.  Over Q a row is a primitive integer
+echelon basis of a subspace, supporting rank, membership (a vector lies in
+the span iff it reduces to zero), equality, sums and intersection
+dimensions.  Over both fields it stores each row as a sparse
+{column: int} dict and reduces a vector in one dense integer working list.
+Over F_p a row has pivot entry 1 and the working list is brought into
+[0, p) once, at the end.  Over Q a row is a primitive integer
 vector and elimination is by cross-multiplication, in the fraction-free
 manner of Bareiss, so no `Fraction` arithmetic happens.  The answers over
 Q are still exact, not modular: each step multiplies a vector by a nonzero
@@ -444,19 +445,6 @@ class SpanBasis:
 
     def contains(self, v: Sequence) -> bool:
         return not any(self._reduce(self._entry(v)))
-
-    def residual(self, v: Sequence) -> list:
-        """v minus the combination of stored rows that agrees with it at
-        every pivot column, as field scalars (zero iff contained)."""
-        field = self.field
-        if len(v) != self.ambient:
-            raise ValueError(f"vector length {len(v)} != ambient {self.ambient}")
-        v = [field.normalize(x) for x in v]
-        for row, pc in zip(self.rows, self._pivots):
-            c = v[pc]
-            if c:
-                _axpy(field, v, row, -c if field.characteristic == 0 else field.p - c)
-        return v
 
     def copy(self) -> "SpanBasis":
         s = SpanBasis(self.field, self.ambient)

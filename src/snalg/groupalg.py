@@ -6,6 +6,11 @@ antipode w -> w^{-1}, the sign twist w -> (-1)^w w, the standard bilinear
 form with orthonormal permutation basis, sums over rook boards, and minimal
 polynomials over the rationals with integer-root factorization.
 
+Every rook sum in snalg (nabla, nabla_tilde, row and tuple sums,
+antisymmetrizers, the product rules) is the sum over a board of allowed
+squares; `board_sum` is the general entry point, and all of them take their
+terms from one cached enumerator that yields lex ranks in increasing order.
+
 Multiplication uses a cached n! x n! composition table for n <= 6 and
 composes permutations directly beyond that.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 import json
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -371,34 +377,39 @@ def dot(a: AlgebraElement, b: AlgebraElement):
     return field.normalize(acc)
 
 
+@lru_cache(maxsize=None)
+def _board_ranks(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Lex ranks, ascending, of the w in S_n with w(i + 1) - 1 in the column
+    bitmask rows[i] for every position i.  Rooks go down depth-first, each
+    row trying its columns in increasing order, and the rank is summed from
+    the Lehmer code: at depth i the digit is the number of unused columns
+    below the chosen one, weighted by (n - 1 - i)!."""
+    weights = [factorial(n - 1 - i) for i in range(n)]
+    ranks: list[int] = []
+
+    def place(i: int, free: int, rank: int) -> None:
+        if i == n:
+            ranks.append(rank)
+            return
+        options = rows[i] & free
+        while options:
+            col = options & -options
+            place(i + 1, free ^ col, rank + (free & (col - 1)).bit_count() * weights[i])
+            options ^= col
+
+    place(0, (1 << n) - 1, 0)
+    return tuple(ranks)
+
+
 def board_sum(n: int, board: Iterable[tuple[int, int]], field=QQ) -> AlgebraElement:
-    """Sum of all w in S_n with (i, w(i)) in the board for every i."""
-    allowed: list[list[int]] = [[] for _ in range(n)]
-    seen = set()
+    """Sum of all w in S_n with (i, w(i)) in the board for every i; the
+    general rook sum, of which every other rook sum is a special board."""
+    rows = [0] * n
     for i, j in board:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"square ({i},{j}) outside [{n}]x[{n}]")
-        if (i, j) not in seen:
-            seen.add((i, j))
-            allowed[i - 1].append(j - 1)
-    for row in allowed:
-        row.sort()
-    terms: dict[int, object] = {}
-    one = field.one
-    img = [0] * n
-    used = [False] * n
-    def place(i: int) -> None:
-        if i == n:
-            terms[Permutation._from_zero(tuple(img)).rank()] = one
-            return
-        for j in allowed[i]:
-            if not used[j]:
-                used[j] = True
-                img[i] = j
-                place(i + 1)
-                used[j] = False
-    place(0)
-    return AlgebraElement._raw(n, field, terms)
+        rows[i - 1] |= 1 << (j - 1)
+    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, tuple(rows)), field.one))
 
 
 def group_sum(n: int, field=QQ) -> AlgebraElement:

@@ -2,6 +2,9 @@
 
 For subsets A, B of [n], the rook sum nabla(B, A) adds every permutation
 mapping A onto B, and nabla_tilde(B, A) every permutation mapping A into B.
+Both are rook-board sums: each position in A may take a column in B, every
+other position the columns outside B (nabla) or any column (nabla_tilde),
+and the terms come from the board enumerator behind `groupalg.board_sum`.
 The product of two rook sums expands by an integer coefficient omega(B, C)
 in three equivalent closed forms (product_rule_a/b/c), and the combinations
 nabla_D_alpha satisfy a split polynomial annihilation identity driven by
@@ -13,9 +16,8 @@ and generates the table of factored minimal polynomials.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from importlib import resources
-from itertools import combinations, permutations as _itpermutations
+from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Iterator, Mapping
 
@@ -23,9 +25,9 @@ from snalg.exactla import QQ
 from snalg.groupalg import (
     AlgebraElement,
     MinimalPolynomial,
+    _board_ranks,
     element_min_poly,
     mul,
-    permutation_basis,
     scale,
 )
 from snalg.perm import Permutation
@@ -160,69 +162,24 @@ def _check_same_n(*subsets: Subset) -> int:
     return ns.pop()
 
 
-@lru_cache(maxsize=None)
-def _nabla_terms(n: int, bmask: int, amask: int) -> tuple[int, ...]:
-    """Ranks of the permutations w with w(A) = B (empty if sizes differ)."""
-    A = Subset(n, mask=amask)
-    B = Subset(n, mask=bmask)
-    if A.size != B.size:
-        return ()
-    apos = [i - 1 for i in A.members]
-    acomp = [i - 1 for i in A.complement().members]
-    bvals = [j - 1 for j in B.members]
-    bcomp = [j - 1 for j in B.complement().members]
-    img = [0] * n
-    ranks = []
-    for pb in _itpermutations(bvals):
-        for pos, val in zip(apos, pb):
-            img[pos] = val
-        for pc in _itpermutations(bcomp):
-            for pos, val in zip(acomp, pc):
-                img[pos] = val
-            ranks.append(Permutation._from_zero(tuple(img)).rank())
-    return tuple(sorted(ranks))
-
-
-@lru_cache(maxsize=None)
-def _nabla_tilde_terms(n: int, bmask: int, amask: int) -> tuple[int, ...]:
-    """Ranks of the permutations w with w(A) ⊆ B (empty if |A| > |B|)."""
-    A = Subset(n, mask=amask)
-    B = Subset(n, mask=bmask)
-    if A.size > B.size:
-        return ()
-    apos = [i - 1 for i in A.members]
-    acomp = [i - 1 for i in A.complement().members]
-    bvals = [j - 1 for j in B.members]
-    allvals = set(range(n))
-    img = [0] * n
-    ranks = []
-    for pb in _itpermutations(bvals, A.size):
-        for pos, val in zip(apos, pb):
-            img[pos] = val
-        rest = sorted(allvals.difference(pb))
-        for pc in _itpermutations(rest):
-            for pos, val in zip(acomp, pc):
-                img[pos] = val
-            ranks.append(Permutation._from_zero(tuple(img)).rank())
-    return tuple(sorted(ranks))
-
-
 def nabla(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
     """The rook sum of all w with w(A) = B; zero when |A| != |B|."""
     n = _check_same_n(B, A)
-    one = field.one
-    return AlgebraElement._raw(
-        n, field, {r: one for r in _nabla_terms(n, B.mask, A.mask)}
-    )
+    if A.size != B.size:
+        return AlgebraElement.zero(n, field)
+    rest = B.complement().mask
+    rows = tuple(B.mask if A.mask >> i & 1 else rest for i in range(n))
+    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows), field.one))
 
 
 def nabla_tilde(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
     """The rook sum of all w with w(A) ⊆ B; zero when |A| > |B|."""
     n = _check_same_n(B, A)
-    one = field.one
-    return AlgebraElement._raw(
-        n, field, {r: one for r in _nabla_tilde_terms(n, B.mask, A.mask)}
-    )
+    if A.size > B.size:
+        return AlgebraElement.zero(n, field)
+    full = (1 << n) - 1
+    rows = tuple(B.mask if A.mask >> i & 1 else full for i in range(n))
+    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows), field.one))
 
 
 def omega(B: Subset, C: Subset) -> int:
@@ -266,22 +223,15 @@ def _check_product_sizes(D: Subset, C: Subset, B: Subset, A: Subset) -> int:
 
 
 def product_rule_a(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> AlgebraElement:
-    """omega(B, C) times the sum of all w with |w(A) ∩ D| = |B ∩ C|."""
+    """omega(B, C) times the sum of all w with |w(A) ∩ D| = |B ∩ C|, that is
+    the sum of nabla(U, A) over the |A|-subsets U with |U ∩ D| = |B ∩ C|."""
     n = _check_product_sizes(D, C, B, A)
     target = (B.mask & C.mask).bit_count()
-    w_coeff = field.from_int(omega(B, C))
-    if not w_coeff:
-        return AlgebraElement.zero(n, field)
-    apos = [i - 1 for i in A.members]
-    dmask = D.mask
-    terms = {}
-    for r, w in enumerate(permutation_basis(n)):
-        wa = 0
-        for i in apos:
-            wa |= 1 << w.image0(i)
-        if (wa & dmask).bit_count() == target:
-            terms[r] = w_coeff
-    return AlgebraElement._raw(n, field, terms)
+    acc = AlgebraElement.zero(n, field)
+    for U in subsets_of_size(n, A.size):
+        if (U.mask & D.mask).bit_count() == target:
+            acc = acc + nabla(U, A, field)
+    return scale(omega(B, C), acc)
 
 
 def product_rule_b(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> AlgebraElement:

@@ -9,24 +9,23 @@ a subset U is the signed sum of the permutations fixing [n] ∖ U pointwise.
 Tuple sums constrain images of (not necessarily distinct) entries instead
 of blocks.
 
-Constraint solving is deliberately brute force: row_sum and tuple_sum
-enumerate S_n and filter, guarded by a size cap.
+Each of these sums is a rook sum: it turns its constraints into a board,
+the columns each position may take, and reads its terms from the rook
+board enumerator of `snalg.groupalg`, which places rooks position by
+position instead of filtering all of S_n.
 """
 
 from __future__ import annotations
 
-from itertools import permutations as _itpermutations
 from typing import Iterable, Iterator, Sequence
 
 from snalg.exactla import QQ
-from snalg.groupalg import AlgebraElement, permutation_basis
+from snalg.groupalg import AlgebraElement, _board_ranks, _sign_table
 from snalg.perm import Permutation
-from snalg.perm import sign as perm_sign
 from snalg.rook import Subset
 
 __all__ = [
     "SetDecomposition",
-    "BRUTE_FORCE_MAX_N",
     "is_composition",
     "strip_empty",
     "act",
@@ -35,8 +34,6 @@ __all__ = [
     "tuple_sum",
     "random_set_composition",
 ]
-
-BRUTE_FORCE_MAX_N = 8
 
 
 class SetDecomposition:
@@ -104,11 +101,6 @@ def act(w: Permutation, d: SetDecomposition) -> SetDecomposition:
     return SetDecomposition(d.n, (b.apply(w) for b in d.blocks))
 
 
-def _check_cap(n: int) -> None:
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute-force enumeration capped at n = {BRUTE_FORCE_MAX_N}")
-
-
 def row_sum(Bdec: SetDecomposition, Adec: SetDecomposition, field=QQ) -> AlgebraElement:
     """Sum of all w with w(A_i) = B_i for every block index i."""
     if Bdec.n != Adec.n:
@@ -118,42 +110,24 @@ def row_sum(Bdec: SetDecomposition, Adec: SetDecomposition, field=QQ) -> Algebra
             f"block count mismatch: {Bdec.length} vs {Adec.length}"
         )
     n = Bdec.n
-    _check_cap(n)
     if any(a.size != b.size for a, b in zip(Adec.blocks, Bdec.blocks)):
         return AlgebraElement.zero(n, field)
-    constraints = [
-        ([i - 1 for i in a.members], b.mask)
-        for a, b in zip(Adec.blocks, Bdec.blocks)
-        if a.size
-    ]
-    one = field.one
-    terms = {}
-    for r, w in enumerate(permutation_basis(n)):
-        for apos, bmask in constraints:
-            img = 0
-            for i in apos:
-                img |= 1 << w.image0(i)
-            if img != bmask:
-                break
-        else:
-            terms[r] = one
-    return AlgebraElement._raw(n, field, terms)
+    rows = [0] * n
+    for a, b in zip(Adec.blocks, Bdec.blocks):
+        for i in a.members:
+            rows[i - 1] = b.mask
+    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, tuple(rows)), field.one))
 
 
 def antisymmetrizer(U: Subset, field=QQ) -> AlgebraElement:
     """The signed sum of all permutations fixing [n] ∖ U pointwise."""
     n = U.n
-    positions = [i - 1 for i in U.members]
-    base = list(range(n))
-    terms = {}
-    for assignment in _itpermutations(positions):
-        img = base[:]
-        for pos, val in zip(positions, assignment):
-            img[pos] = val
-        w = Permutation._from_zero(tuple(img))
-        s = perm_sign(w)
-        terms[w.rank()] = field.one if s > 0 else field.normalize(-field.one)
-    return AlgebraElement._raw(n, field, terms)
+    rows = tuple(U.mask if U.mask >> i & 1 else 1 << i for i in range(n))
+    signs = _sign_table(n)
+    one, minus_one = field.one, field.normalize(-field.one)
+    return AlgebraElement._raw(
+        n, field, {r: one if signs[r] > 0 else minus_one for r in _board_ranks(n, rows)}
+    )
 
 
 def tuple_sum(b: Sequence[int], a: Sequence[int], n: int, field=QQ) -> AlgebraElement:
@@ -164,18 +138,14 @@ def tuple_sum(b: Sequence[int], a: Sequence[int], n: int, field=QQ) -> AlgebraEl
     for x in (*a, *b):
         if not 1 <= x <= n:
             raise ValueError(f"entry {x} outside [{n}]")
-    _check_cap(n)
     required: dict[int, int] = {}
     for ai, bi in zip(a, b):
         if required.setdefault(ai, bi) != bi:
             return AlgebraElement.zero(n, field)
-    pairs = [(ai - 1, bi - 1) for ai, bi in required.items()]
-    one = field.one
-    terms = {}
-    for r, w in enumerate(permutation_basis(n)):
-        if all(w.image0(i) == j for i, j in pairs):
-            terms[r] = one
-    return AlgebraElement._raw(n, field, terms)
+    rows = [(1 << n) - 1] * n
+    for ai, bi in required.items():
+        rows[ai - 1] = 1 << (bi - 1)
+    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, tuple(rows)), field.one))
 
 
 def random_set_composition(rng, n: int, max_blocks: int) -> SetDecomposition:

@@ -252,9 +252,14 @@ def test_out_of_range_index_exit_2(capsys, argv, flag, accepted):
 
 
 # ---------------------------------------------------------------------------
-# byte identity with recorded output (the prime-field elimination path)
+# byte identity with recorded output: the prime-field elimination path, and
+# the rook-sum and group-algebra path over Q
 
 GUARDED = {
+    "product_fuzz_n5_t40_s3": ["product-fuzz", "--n", "5", "--trials", "40", "--seed", "3"],
+    "minpol_table_n5_golden": ["minpol-table", "--n", "5", "--golden"],
+    "counts_n5_k2_l2": ["counts", "--n", "5", "--k", "2", "--l", "2"],
+    "ideal_suite_n4_k2": ["ideal-suite", "--n", "4", "--k", "2"],
     "ideal_suite_n4_k2_fp7": ["ideal-suite", "--n", "4", "--k", "2", "--field", "Fp:7"],
     "mixed_quotient_n4_k2_l1_fp3": [
         "mixed-quotient", "--n", "4", "--k", "2", "--l", "1", "--field", "Fp:3"

@@ -122,14 +122,12 @@ def test_span_insert_basics():
         s.insert([1, 0, 0])
 
 
-def test_span_membership_and_residual():
+def test_span_membership():
     s = SpanBasis(QQ, 3)
     s.insert([1, 2, 0])
     s.insert([0, 1, 1])
     assert span_contains(s, [1, 3, 1])
     assert not span_contains(s, [0, 0, 1])
-    assert not any(s.residual([2, 5, 1]))
-    assert any(s.residual([0, 0, 2]))
 
 
 def test_span_canonical_under_insertion_order():
@@ -282,19 +280,6 @@ def test_span_rows_over_q_are_primitive_integers():
         assert all(type(x) is int and x for x in row.values())
         assert gcd(*row.values()) == 1 and row[pc] > 0
         assert not any(opc in row for opc in s.pivots if opc != pc)
-
-
-def test_span_residual_is_exact():
-    s = SpanBasis(QQ, 3)
-    s.insert([2, 4, 0])
-    s.insert([0, 3, 3])
-    # v - 1/2·(1, 2, 0) - 4·(0, 1, 1) vanishes at pivot columns 0 and 1
-    v = [Fraction(1, 2), 5, Fraction(7, 3)]
-    assert s.residual(v) == [0, 0, Fraction(7, 3) - 4]
-    f = GF(5)
-    t = SpanBasis(f, 3)
-    t.insert([2, 4, 0])
-    assert t.residual([3, 0, 1]) == [0, 4, 1]
 
 
 def test_ideal_span_ranks_agree_over_q_and_fp():

@@ -1,6 +1,7 @@
 """Tests for the group algebra: ring structure, antipode, sign twist,
 bilinear form, board sums and minimal polynomials."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -11,6 +12,7 @@ from snalg.exactla import GF, QQ
 from snalg.groupalg import (
     AlgebraElement,
     MinimalPolynomial,
+    _board_ranks,
     add,
     antipode,
     board_sum,
@@ -162,6 +164,44 @@ def test_board_sum_examples():
     assert offdiag == AlgebraElement(n, QQ, [(w, 1) for w in derangements])
     with pytest.raises(ValueError):
         board_sum(3, [(0, 1)])
+
+
+def test_board_sum_matches_filter_on_random_boards():
+    rng = random.Random(151)
+    n = 5
+    squares = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for density in (0.3, 0.6, 0.9):
+        for _ in range(8):
+            board = [sq for sq in squares if rng.random() < density]
+            allowed = set(board)
+            want = AlgebraElement(n, QQ, [
+                (w, 1)
+                for w in all_permutations(n)
+                if all((i, w(i)) in allowed for i in range(1, n + 1))
+            ])
+            assert board_sum(n, board) == want
+            assert board_sum(n, board + board[:3], GF(3)) == AlgebraElement(n, GF(3), [
+                (w, 1) for w, _ in want.items()
+            ])
+
+
+def test_board_ranks_are_sorted_lex_ranks():
+    rng = random.Random(152)
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        boards = [(full,) * n] + [
+            tuple(rng.randrange(1 << n) | rng.choice((0, full)) for _ in range(n))
+            for _ in range(20)
+        ]
+        for rows in boards:
+            ranks = _board_ranks(n, rows)
+            want = [
+                Permutation(w).rank()
+                for w in itertools.permutations(range(1, n + 1))
+                if all(rows[i] >> (w[i] - 1) & 1 for i in range(n))
+            ]
+            assert list(ranks) == sorted(want)
+    assert _board_ranks(4, (15,) * 4) == tuple(range(24))
 
 
 def test_derangement_board_sum_is_central():

@@ -289,6 +289,29 @@ def test_product_rules_sampled_n4():
         check_product_rules(n, D, C, B, A)
 
 
+def test_product_rule_a_against_defining_filter():
+    """Rule (a) is omega(B, C) times the sum of all w with
+    |w(A) ∩ D| = |B ∩ C|; the filter over S_n is the reference."""
+    for n in (1, 2, 3, 4):
+        same_size = [
+            (X, Y)
+            for k in range(n + 1)
+            for X in subsets_of_size(n, k)
+            for Y in subsets_of_size(n, k)
+        ]
+        reference = {}
+        for D, C in same_size:
+            for B, A in same_size:
+                target = len(set(B.members) & set(C.members))
+                key = (D, A, target)
+                if key not in reference:
+                    reference[key] = brute_filter(
+                        n, lambda w: len(image_set(w, A) & set(D.members)) == target
+                    )
+                want = scale(omega(B, C), reference[key])
+                assert product_rule_a(D, C, B, A) == want
+
+
 def test_product_rules_size_errors():
     n = 3
     with pytest.raises(ValueError):

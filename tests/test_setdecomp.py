@@ -3,6 +3,7 @@ tuple sums."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -30,6 +31,17 @@ def brute_row_sum(Bdec, Adec, field=QQ):
         if all(a.apply(w) == b for a, b in zip(Adec.blocks, Bdec.blocks)):
             total = total + AlgebraElement.from_perm(w, field)
     return total
+
+
+def filtered_sum(n, keep, field=QQ, sign=False):
+    """Reference: the (signed) sum of the w in S_n, as itertools image
+    tuples, that pass `keep`; the sign is counted from inversions."""
+    terms = []
+    for img in permutations(range(1, n + 1)):
+        if keep(img):
+            inversions = sum(img[i] > img[j] for i in range(n) for j in range(i + 1, n))
+            terms.append((Permutation(img), (-1) ** inversions if sign else 1))
+    return AlgebraElement(n, field, terms)
 
 
 class TestSetDecomposition:
@@ -199,6 +211,18 @@ class TestAntisymmetrizer:
 
             assert c == Fraction(sign(w))
 
+    def test_every_subset_of_5_matches_signed_filter(self):
+        n = 5
+        for mask in range(1 << n):
+            U = Subset(n, mask=mask)
+
+            def fixes_rest(img):
+                return all(img[i - 1] == i for i in range(1, n + 1) if i not in U)
+
+            for field in (QQ, GF(3)):
+                want = filtered_sum(n, fixes_rest, field, sign=True)
+                assert antisymmetrizer(U, field) == want
+
     def test_antipode_fixes(self):
         for members in ([1, 2], [2, 3, 4], [1, 2, 3, 4]):
             a = antisymmetrizer(Subset(4, members))
@@ -257,6 +281,28 @@ class TestTupleSum:
                     total = total + AlgebraElement.from_perm(w)
             assert tuple_sum(b, a, n) == total
 
+    def test_repeated_and_colliding_entries_match_filter(self):
+        n = 4
+        cases = [
+            ((3, 3, 4), (1, 1, 2)),  # a repeats with the same image
+            ((3, 3), (1, 2)),  # two entries collide on one image
+            ((1, 3), (2, 2)),  # a repeats with two images
+            ((2, 1, 2, 4), (1, 2, 1, 4)),
+        ]
+        rng = random.Random(37)
+        for _ in range(20):
+            k = rng.randrange(1, 6)
+            cases.append((
+                tuple(rng.randrange(1, 3) for _ in range(k)),
+                tuple(rng.randrange(1, 4) for _ in range(k)),
+            ))
+        for field in (QQ, GF(3)):
+            for b, a in cases:
+                want = filtered_sum(
+                    n, lambda img: all(img[ai - 1] == bi for ai, bi in zip(a, b)), field
+                )
+                assert tuple_sum(b, a, n, field) == want, (b, a)
+
     def test_fixed_points_equal_twisted_antisymmetrizer(self):
         n = 5
         for a in ((1,), (2, 4), (1, 3, 5)):
@@ -268,6 +314,21 @@ class TestTupleSum:
             tuple_sum((1, 2), (1,), 3)
         with pytest.raises(ValueError):
             tuple_sum((1, 5), (1, 2), 3)
+
+
+def test_small_boards_beyond_s8():
+    """Row and tuple sums enumerate only the board, so n = 9 is cheap when
+    the board admits few permutations."""
+    n = 9
+    u = Permutation([2, 1, 4, 3, 6, 5, 8, 9, 7])
+    singletons = SetDecomposition.from_members(n, [[i] for i in range(1, n + 1)])
+    assert row_sum(act(u, singletons), singletons) == AlgebraElement.from_perm(u)
+    a = tuple(range(1, n + 1))
+    assert tuple_sum(tuple(u(i) for i in a), a, n, GF(5)) == AlgebraElement.from_perm(u, GF(5))
+    swap = Permutation([2, 1, 3, 4, 5, 6, 7, 8, 9])
+    assert tuple_sum(a[2:], a[2:], n) == AlgebraElement(
+        n, QQ, [(identity(n), 1), (swap, 1)]
+    )
 
 
 class TestRandomComposition:
