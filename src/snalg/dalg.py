@@ -108,7 +108,8 @@ def _subsets_of(mask: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(group) for group in by_size)
 
 
-@lru_cache(maxsize=1 << 16)
+# holds all 68,844 (n, i, j) with n <= DALG_CAP, and stays bounded past the cap
+@lru_cache(maxsize=sum(d_dim(n) ** 2 for n in range(1, DALG_CAP + 1)))
 def _pair_product(n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
     """Integer structure constants of Δ_i·Δ_j as ((basis index, coeff), …)."""
     pairs, index = _basis_data(n)

@@ -1,8 +1,9 @@
 """Exact scalars and linear algebra over Q and prime fields.
 
 Scalars are plain Python values: `Fraction` over the rationals, `int` in
-[0, p) over a prime field.  In both representations a scalar is falsy
-exactly when it is zero, which the elimination routines rely on.
+[0, p) over a prime field.  Vectors over Q may hold plain ints as well, as
+`AlgebraElement.to_vector` hands out, and enter `SpanBasis` unconverted.
+A scalar is falsy exactly when it is zero, which elimination relies on.
 
 `SpanBasis` is the elimination kernel: an incrementally maintained reduced
 echelon basis of a subspace, supporting rank, membership (a vector lies in
@@ -348,11 +349,11 @@ class SpanBasis:
         over F_p, an integer multiple of v over Q."""
         if len(v) != self.ambient:
             raise ValueError(f"vector length {len(v)} != ambient {self.ambient}")
+        if {*map(type, v)} <= {int}:  # ints need no conversion on either field
+            return list(v)
         field = self.field
         if not field.characteristic:
             return _integer_vector(v)
-        if {*map(type, v)} <= {int}:  # ints need no reduction before _reduce
-            return list(v)
         return [field.normalize(x) for x in v]
 
     def _reduce(self, v: list[int]) -> list[int]:

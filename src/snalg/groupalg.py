@@ -1,7 +1,9 @@
 """The group algebra k[S_n] with exact sparse arithmetic.
 
 Elements are sparse maps from permutations (keyed internally by their
-lexicographic rank) to nonzero scalars.  Provides the ring operations, the
+lexicographic rank) to nonzero integers over one common denominator, which
+is 1 over F_p and for every rook sum, so the ring operations run on ints
+over both fields.  Provides the ring operations, the
 antipode w -> w^{-1}, the sign twist w -> (-1)^w w, the standard bilinear
 form with orthonormal permutation basis, sums over rook boards, and minimal
 polynomials over the rationals with integer-root factorization.
@@ -21,7 +23,7 @@ import json
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from snalg.exactla import QQ, SpanBasis
@@ -91,37 +93,64 @@ def _sign_table(n: int) -> array:
     return _sign_tables[n]
 
 
-class AlgebraElement:
-    """A sparse element of k[S_n]; stored coefficients are never zero."""
+def _canonical(n: int, field, pairs, den: int = 1) -> "AlgebraElement":
+    """The element of k[S_n] with coefficient c / den at lex rank r, for
+    (r, c) in `pairs` (distinct ranks, int c; den > 0, and 1 over F_p), in
+    canonical form: over F_p each term reduced once into [1, p); over Q the
+    zero terms dropped and the common factor of den and the terms divided
+    out."""
+    p = field.characteristic
+    if p:
+        terms = {}
+        for r, c in pairs:
+            c %= p
+            if c:
+                terms[r] = c
+        return AlgebraElement._raw(n, field, terms)
+    terms = {r: c for r, c in pairs if c}
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {r: c // g for r, c in terms.items()}
+            den //= g
+    return AlgebraElement._raw(n, field, terms, den)
 
-    __slots__ = ("n", "field", "_terms")
+
+def _scalar(field, c: int, den: int):
+    """The field scalar c / den."""
+    return c % field.p if field.characteristic else Fraction(c, den)
+
+
+class AlgebraElement:
+    """A sparse element of k[S_n]: nonzero integer terms {lex rank: int}
+    over one positive denominator `_den`, so the coefficient at rank r is
+    `_terms[r] / _den`.  Over F_p the terms lie in [1, p) and `_den` is 1;
+    over Q `_den` and the terms have no common factor.  The form is unique,
+    so equality compares `_den` and `_terms`."""
+
+    __slots__ = ("n", "field", "_terms", "_den")
 
     def __init__(self, n: int, field, terms=None):
-        self.n = n
-        self.field = field
         data: dict[int, object] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                if isinstance(key, Permutation):
-                    if key.n != n:
-                        raise ValueError(f"permutation of [{key.n}] in k[S_{n}]")
-                    r = key.rank()
-                else:
-                    r = int(key)
-                c = field.normalize(data.get(r, field.zero) + field.normalize(c))
-                if c:
-                    data[r] = c
-                else:
-                    data.pop(r, None)
-        self._terms = data
+        for key, c in terms.items() if isinstance(terms, dict) else terms or ():
+            if isinstance(key, Permutation) and key.n != n:
+                raise ValueError(f"permutation of [{key.n}] in k[S_{n}]")
+            r = key.rank() if isinstance(key, Permutation) else int(key)
+            data[r] = data.get(r, 0) + field.normalize(c)
+        # over F_p the normalized scalars are ints, of denominator 1
+        den = lcm(*(c.denominator for c in data.values()))
+        pairs = ((r, c.numerator * (den // c.denominator)) for r, c in data.items())
+        canon = _canonical(n, field, pairs, den)
+        self.n, self.field, self._terms, self._den = n, field, canon._terms, canon._den
 
     @classmethod
-    def _raw(cls, n: int, field, terms: dict) -> "AlgebraElement":
+    def _raw(cls, n: int, field, terms: dict[int, int], den: int = 1) -> "AlgebraElement":
+        """An element from terms and denominator already in canonical form."""
         a = object.__new__(cls)
         a.n = n
         a.field = field
         a._terms = terms
+        a._den = den
         return a
 
     @classmethod
@@ -130,12 +159,13 @@ class AlgebraElement:
 
     @classmethod
     def one(cls, n: int, field=QQ) -> "AlgebraElement":
-        return cls._raw(n, field, {0: field.one})
+        return cls._raw(n, field, {0: 1})
 
     @classmethod
     def from_perm(cls, w: Permutation, field=QQ, coeff=None) -> "AlgebraElement":
-        c = field.one if coeff is None else field.normalize(coeff)
-        return cls._raw(w.n, field, {w.rank(): c} if c else {})
+        if coeff is None:
+            return cls._raw(w.n, field, {w.rank(): 1})
+        return cls(w.n, field, [(w, coeff)])
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -147,7 +177,7 @@ class AlgebraElement:
         """(permutation, coefficient) pairs in lex order."""
         perms = permutation_basis(self.n)
         for r in sorted(self._terms):
-            yield perms[r], self._terms[r]
+            yield perms[r], _scalar(self.field, self._terms[r], self._den)
 
     def support(self) -> list[Permutation]:
         perms = permutation_basis(self.n)
@@ -156,23 +186,20 @@ class AlgebraElement:
     def coeff(self, w: Permutation) -> object:
         if w.n != self.n:
             raise ValueError("permutation size mismatch")
-        return self._terms.get(w.rank(), self.field.zero)
+        return _scalar(self.field, self._terms.get(w.rank(), 0), self._den)
 
     def to_vector(self) -> list:
-        """Coordinates in the permutation basis, indexed by lex rank."""
-        vec = [self.field.zero] * factorial(self.n)
+        """Coordinates in the permutation basis, indexed by lex rank: ints,
+        except over Q with `_den` > 1, where the nonzero ones are Fractions."""
+        vec = [0] * factorial(self.n)
+        den = self._den
         for r, c in self._terms.items():
-            vec[r] = c
+            vec[r] = c if den == 1 else Fraction(c, den)
         return vec
 
     @classmethod
     def from_vector(cls, n: int, field, vec: Sequence) -> "AlgebraElement":
-        terms = {}
-        for r, c in enumerate(vec):
-            c = field.normalize(c)
-            if c:
-                terms[r] = c
-        return cls._raw(n, field, terms)
+        return cls(n, field, enumerate(vec))
 
     # -- ring structure ----------------------------------------------------
 
@@ -206,6 +233,7 @@ class AlgebraElement:
             isinstance(other, AlgebraElement)
             and self.n == other.n
             and self.field == other.field
+            and self._den == other._den
             and self._terms == other._terms
         )
 
@@ -257,54 +285,28 @@ def _check_pair(a: AlgebraElement, b: AlgebraElement) -> None:
 
 def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     _check_pair(a, b)
-    field = a.field
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    terms = dict(big._terms)
-    for r, c in small._terms.items():
-        s = field.normalize(terms.get(r, field.zero) + c)
-        if s:
-            terms[r] = s
-        else:
-            terms.pop(r, None)
-    return AlgebraElement._raw(a.n, field, terms)
+    den = lcm(a._den, b._den)
+    sa, sb = den // a._den, den // b._den
+    terms = {r: sa * c for r, c in a._terms.items()}
+    for r, c in b._terms.items():
+        terms[r] = terms.get(r, 0) + sb * c
+    return _canonical(a.n, a.field, terms.items(), den)
 
 
 def scale(c, a: AlgebraElement) -> AlgebraElement:
-    field = a.field
-    c = field.normalize(c)
-    if not c:
-        return AlgebraElement.zero(a.n, field)
-    terms = {}
-    for r, x in a._terms.items():
-        y = field.normalize(c * x)
-        if y:
-            terms[r] = y
-    return AlgebraElement._raw(a.n, field, terms)
-
-
-def _int_terms(a: AlgebraElement) -> tuple[dict[int, int], int]:
-    """The terms of a rational element with denominators cleared: a dict of
-    integer coefficients and the common denominator."""
-    den = 1
-    for c in a._terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return {r: c.numerator * (den // c.denominator) for r, c in a._terms.items()}, den
+    c = a.field.normalize(c)
+    num, den = c.numerator, a._den * c.denominator
+    return _canonical(a.n, a.field, ((r, num * x) for r, x in a._terms.items()), den)
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """The convolution product: sum of coeff_a(u) coeff_b(v) on uv."""
     _check_pair(a, b)
-    n, field = a.n, a.field
-    if not a._terms or not b._terms:
-        return AlgebraElement.zero(n, field)
+    n = a.n
+    aterms, bterms = a._terms, b._terms
+    if not aterms or not bterms:
+        return AlgebraElement.zero(n, a.field)
     if n <= MUL_TABLE_MAX_N:
-        # the hot loop runs on plain integers: rational inputs have their
-        # denominators cleared first and restored afterwards
-        if field.characteristic == 0:
-            aterms, aden = _int_terms(a)
-            bterms, bden = _int_terms(b)
-        else:
-            aterms, bterms = a._terms, b._terms
         mt = _mul_table(n)
         out = [0] * factorial(n)
         # smaller support outermost
@@ -317,64 +319,42 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             for rv, cb in bterms.items():
                 for ru, ca in aterms.items():
                     out[mt[ru][rv]] += ca * cb
-        if field.characteristic == 0:
-            den = aden * bden
-            terms = {r: Fraction(c, den) for r, c in enumerate(out) if c}
-        else:
-            p = field.p
-            terms = {}
-            for r, c in enumerate(out):
-                c %= p
-                if c:
-                    terms[r] = c
-        return AlgebraElement._raw(n, field, terms)
-    perms = permutation_basis(n)
-    acc: dict[int, object] = {}
-    for ru, ca in a._terms.items():
-        u = perms[ru]
-        for rv, cb in b._terms.items():
-            r = compose(u, perms[rv]).rank()
-            acc[r] = acc.get(r, 0) + ca * cb
-    terms = {}
-    for r, c in acc.items():
-        c = field.normalize(c)
-        if c:
-            terms[r] = c
-    return AlgebraElement._raw(n, field, terms)
+        pairs = enumerate(out)
+    else:
+        perms = permutation_basis(n)
+        acc: dict[int, int] = {}
+        for ru, ca in aterms.items():
+            u = perms[ru]
+            for rv, cb in bterms.items():
+                r = compose(u, perms[rv]).rank()
+                acc[r] = acc.get(r, 0) + ca * cb
+        pairs = acc.items()
+    return _canonical(n, a.field, pairs, a._den * b._den)
 
 
 def antipode(a: AlgebraElement) -> AlgebraElement:
     """The linear extension of w -> w^{-1}; an anti-automorphism."""
     inv = _inv_table(a.n)
-    return AlgebraElement._raw(a.n, a.field, {inv[r]: c for r, c in a._terms.items()})
+    return AlgebraElement._raw(a.n, a.field, {inv[r]: c for r, c in a._terms.items()}, a._den)
 
 
 def sign_twist(a: AlgebraElement) -> AlgebraElement:
     """The automorphism sending w to (-1)^w w."""
-    field = a.field
     signs = _sign_table(a.n)
-    terms = {}
-    for r, c in a._terms.items():
-        terms[r] = c if signs[r] > 0 else field.normalize(-c)
-    return AlgebraElement._raw(a.n, field, terms)
+    return _canonical(a.n, a.field, ((r, signs[r] * c) for r, c in a._terms.items()), a._den)
 
 
 def coeff_one(a: AlgebraElement):
     """Coefficient of the identity permutation (lex rank 0)."""
-    return a._terms.get(0, a.field.zero)
+    return _scalar(a.field, a._terms.get(0, 0), a._den)
 
 
 def dot(a: AlgebraElement, b: AlgebraElement):
     """The bilinear form with the permutations as an orthonormal basis."""
     _check_pair(a, b)
-    field = a.field
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    acc = field.zero
-    for r, c in small._terms.items():
-        d = big._terms.get(r)
-        if d is not None:
-            acc += c * d
-    return field.normalize(acc)
+    small, big = (a._terms, b._terms) if len(a) <= len(b) else (b._terms, a._terms)
+    acc = sum(c * big.get(r, 0) for r, c in small.items())
+    return _scalar(a.field, acc, a._den * b._den)
 
 
 @lru_cache(maxsize=None)
@@ -409,13 +389,12 @@ def board_sum(n: int, board: Iterable[tuple[int, int]], field=QQ) -> AlgebraElem
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"square ({i},{j}) outside [{n}]x[{n}]")
         rows[i - 1] |= 1 << (j - 1)
-    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, tuple(rows)), field.one))
+    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, tuple(rows)), 1))
 
 
 def group_sum(n: int, field=QQ) -> AlgebraElement:
     """The sum of all of S_n."""
-    one = field.one
-    return AlgebraElement._raw(n, field, {r: one for r in range(factorial(n))})
+    return AlgebraElement._raw(n, field, dict.fromkeys(range(factorial(n)), 1))
 
 
 # -- minimal polynomials ---------------------------------------------------
@@ -454,9 +433,7 @@ def _divisors(m: int) -> list[int]:
 def _find_rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
     """Some rational root of the polynomial, or None.  Assumes nonzero
     constant term."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     const, lead = ints[0], ints[-1]
     for q in _divisors(lead):

@@ -169,7 +169,7 @@ def nabla(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
         return AlgebraElement.zero(n, field)
     rest = B.complement().mask
     rows = tuple(B.mask if A.mask >> i & 1 else rest for i in range(n))
-    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows), field.one))
+    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows), 1))
 
 
 def nabla_tilde(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
@@ -179,7 +179,7 @@ def nabla_tilde(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
         return AlgebraElement.zero(n, field)
     full = (1 << n) - 1
     rows = tuple(B.mask if A.mask >> i & 1 else full for i in range(n))
-    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows), field.one))
+    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows), 1))
 
 
 def omega(B: Subset, C: Subset) -> int:

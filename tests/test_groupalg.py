@@ -4,12 +4,13 @@ bilinear form, board sums and minimal polynomials."""
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
 from snalg.exactla import GF, QQ
 from snalg.groupalg import (
+    MUL_TABLE_MAX_N,
     AlgebraElement,
     MinimalPolynomial,
     _board_ranks,
@@ -25,6 +26,8 @@ from snalg.groupalg import (
     sign_twist,
 )
 from snalg.perm import Permutation, all_permutations, compose, identity, inverse, sign
+from snalg.rook import Subset
+from snalg.setdecomp import antisymmetrizer
 
 
 def random_element(rng, n, field=QQ, max_terms=5):
@@ -96,18 +99,98 @@ def test_mul_associative_and_unital():
 
 def test_mul_over_prime_field_matches_reduction():
     rng = random.Random(77)
-    f = GF(5)
-    for _ in range(10):
-        aq = random_element(rng, 4, QQ)
-        bq = random_element(rng, 4, QQ)
-        # clear denominators so reduction mod 5 is defined
-        aq = scale(12, aq)
-        bq = scale(12, bq)
-        ap = AlgebraElement(4, f, [(w, int(c)) for w, c in aq.items()])
-        bp = AlgebraElement(4, f, [(w, int(c)) for w, c in bq.items()])
-        prod_q = mul(aq, bq)
-        prod_p = AlgebraElement(4, f, [(w, int(c)) for w, c in prod_q.items()])
-        assert mul(ap, bp) == prod_p
+    for n, p in ((4, 5), (5, 2), (5, 3)):
+        f = GF(p)
+
+        def reduce(x):
+            return AlgebraElement(n, f, [(w, int(c)) for w, c in x.items()])
+
+        for _ in range(10):
+            aq = random_element(rng, n, QQ)
+            bq = random_element(rng, n, QQ)
+            # clear denominators so reduction mod p is defined
+            aq = scale(12, aq)
+            bq = scale(12, bq)
+            ap, bp = reduce(aq), reduce(bq)
+            assert mul(ap, bp) == reduce(mul(aq, bq))
+            assert sign_twist(ap) == reduce(sign_twist(aq))
+        for members in ((1, 2), (2, 3, n), tuple(range(1, n + 1))):
+            U = Subset(n, members)
+            assert antisymmetrizer(U, f) == reduce(antisymmetrizer(U, QQ))
+    # over F_2, -1 = 1: the antisymmetrizer is the plain sum and sign_twist is trivial
+    full = Subset(3, (1, 2, 3))
+    assert antisymmetrizer(full, GF(2)) == group_sum(3, GF(2))
+    assert sign_twist(group_sum(3, GF(2))) == group_sum(3, GF(2))
+
+
+def _compose_product(a, b):
+    """The product by a double loop over perm.compose, independent of mul."""
+    acc = {}
+    for u, ca in a.items():
+        for v, cb in b.items():
+            r = compose(u, v).rank()
+            acc[r] = acc.get(r, 0) + ca * cb
+    return AlgebraElement(a.n, a.field, acc)
+
+
+def test_mul_beyond_table_matches_compose():
+    n = MUL_TABLE_MAX_N + 1
+    rng = random.Random(7)
+    for field in (QQ, GF(5)):
+        for _ in range(4):
+            a = random_element(rng, n, field, max_terms=6)
+            b = random_element(rng, n, field, max_terms=6)
+            assert mul(a, b) == _compose_product(a, b)
+        # (1 - s)(1 + s) = 1 - s^2 = 0 for a transposition s: every term cancels
+        one = AlgebraElement.one(n, field)
+        s = AlgebraElement.from_perm(Permutation([2, 1] + list(range(3, n + 1))), field)
+        assert mul(one - s, one + s).is_zero()
+        assert _compose_product(one - s, one + s).is_zero()
+
+
+def assert_canonical(a):
+    terms = list(a._terms.values())
+    assert all(type(c) is int for c in terms)
+    if a.field.characteristic:
+        assert a._den == 1
+        assert all(1 <= c < a.field.p for c in terms)
+    else:
+        assert a._den > 0
+        assert all(terms)
+        assert gcd(a._den, *terms) == 1
+
+
+def test_canonical_form_after_every_operation():
+    rng = random.Random(31)
+    for field in (QQ, GF(2), GF(5)):
+        for _ in range(10):
+            a = random_element(rng, 4, field)
+            b = random_element(rng, 4, field)
+            for x in (
+                a, add(a, b), a - a, scale(Fraction(3, 7), a), scale(0, a), mul(a, b),
+                sign_twist(a), antipode(a), AlgebraElement.from_vector(4, field, a.to_vector()),
+            ):
+                assert_canonical(x)
+    half = AlgebraElement(3, QQ, [(Permutation([2, 1, 3]), Fraction(1, 2)), (identity(3), 1)])
+    assert half._den == 2 and sorted(half._terms.values()) == [1, 2]
+    assert half.to_vector()[:3] == [1, 0, Fraction(1, 2)]
+    assert scale(2, half)._den == 1
+
+
+def test_construction_paths_agree():
+    rng = random.Random(37)
+    for field in (QQ, GF(5)):
+        for _ in range(10):
+            a = random_element(rng, 4, field)
+            b = random_element(rng, 4, field)
+            one = AlgebraElement.one(4, field)
+            assert AlgebraElement(4, field, list(a.items())) == a
+            assert AlgebraElement.from_vector(4, field, a.to_vector()) == a
+            assert add(b, a - b) == a
+            assert scale(-1, scale(-1, a)) == a
+            assert mul(one, a) == a
+            assert scale(Fraction(1, 3), scale(3, a)) == a
+            assert dot(a, one) == coeff_one(a)
 
 
 def test_antipode_involution_and_antihom():
