@@ -14,7 +14,14 @@ squares; `board_sum` is the general entry point, and all of them take their
 terms from one cached enumerator that yields lex ranks in increasing order.
 
 Multiplication uses a cached n! x n! composition table for n <= 6 and
-composes permutations directly beyond that.
+composes permutations directly beyond that.  A rook sum is unchanged by
+right multiplication with its Young subgroup Y, the permutations that only
+swap positions of equal board rows, so it is a sum of whole left cosets of
+Y.  It keeps the partition of positions into those classes, and on the
+table path a product x * (rook sum) runs one coset at a time: x against one
+representative per coset, then each coset's sum written over the coset
+through a cached table of coset ids.  The work falls from
+|x| * |rook sum| to |x| * |rook sum| / |Y| plus n!.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from snalg.exactla import QQ, SpanBasis
@@ -50,9 +58,11 @@ __all__ = [
 MUL_TABLE_MAX_N = 6
 
 _perm_cache: dict[int, list[Permutation]] = {}
+_image_bytes: dict[int, list[bytes]] = {}
 _mul_tables: dict[int, list[array]] = {}
 _inv_tables: dict[int, array] = {}
 _sign_tables: dict[int, array] = {}
+_coset_tables: dict[bytes, array] = {}
 
 
 def permutation_basis(n: int) -> list[Permutation]:
@@ -64,18 +74,37 @@ def permutation_basis(n: int) -> list[Permutation]:
     return _perm_cache[n]
 
 
+def _images(n: int) -> list[bytes]:
+    """The one-line notation of each permutation, 0-based, as bytes, in
+    lex order."""
+    if n not in _image_bytes:
+        _image_bytes[n] = [bytes(v - 1 for v in p.oln) for p in permutation_basis(n)]
+    return _image_bytes[n]
+
+
 def _mul_table(n: int) -> list[array]:
-    """mt[u][v] = rank of (permutation u) composed with (permutation v)."""
+    """mt[u][v] = rank of (permutation u) composed with (permutation v).
+    Rows are filled in rank order.  A permutation u other than the identity
+    has a descent at some position i; u s_i, with s_i the transposition of
+    i + 1 and i + 2, has those two entries swapped, so it comes earlier in
+    lex order, and since u v = (u s_i)(s_i v), row u is row (u s_i) read at
+    rank(s_i v) for each v, one C-level gather per row."""
     if n not in _mul_tables:
-        perms = permutation_basis(n)
-        imgs = [bytes(v - 1 for v in p.oln) for p in perms]
+        imgs = _images(n)
         index = {img: r for r, img in enumerate(imgs)}
         pad = bytes(256 - n)
         typecode = "H" if factorial(n) <= 65535 else "L"
-        rows = []
-        for img_u in imgs:
-            table = img_u + pad
-            rows.append(array(typecode, (index[img_v.translate(table)] for img_v in imgs)))
+        swaps = []
+        for i in range(n - 1):
+            s_i = list(range(n))
+            s_i[i], s_i[i + 1] = i + 1, i
+            table = bytes(s_i) + pad
+            swaps.append(itemgetter(*(index[img_v.translate(table)] for img_v in imgs)))
+        rows = [array(typecode, range(len(imgs)))]
+        for img_u in imgs[1:]:
+            i = next(i for i in range(n - 1) if img_u[i] > img_u[i + 1])
+            prev = index[img_u[:i] + img_u[i + 1 : i + 2] + img_u[i : i + 1] + img_u[i + 2 :]]
+            rows.append(array(typecode, swaps[i](rows[prev])))
         _mul_tables[n] = rows
     return _mul_tables[n]
 
@@ -91,6 +120,21 @@ def _sign_table(n: int) -> array:
     if n not in _sign_tables:
         _sign_tables[n] = array("b", (perm_sign(p) for p in permutation_basis(n)))
     return _sign_tables[n]
+
+
+def _coset_ids(n: int, blocks: bytes) -> array:
+    """ids[r] = the number of the left coset w Y of the permutation w of lex
+    rank r, where Y permutes the positions within each block (position i is
+    in block blocks[i]).  w y has the same block of preimages at every
+    column as w, so the coset key is the inverse image bytes relabelled by
+    block; cosets are numbered in the order of their smallest ranks."""
+    if blocks not in _coset_tables:
+        imgs = _images(n)
+        label = blocks + bytes(256 - n)
+        keys = (imgs[r].translate(label) for r in _inv_table(n))
+        index: dict[bytes, int] = {}
+        _coset_tables[blocks] = array("H", (index.setdefault(k, len(index)) for k in keys))
+    return _coset_tables[blocks]
 
 
 def _canonical(n: int, field, pairs, den: int = 1) -> "AlgebraElement":
@@ -126,9 +170,11 @@ class AlgebraElement:
     over one positive denominator `_den`, so the coefficient at rank r is
     `_terms[r] / _den`.  Over F_p the terms lie in [1, p) and `_den` is 1;
     over Q `_den` and the terms have no common factor.  The form is unique,
-    so equality compares `_den` and `_terms`."""
+    so equality compares `_den` and `_terms`.  A rook sum also keeps in
+    `_blocks` the block label of each position under its right Young
+    subgroup (see `_rook_sum`); every other element has `_blocks` None."""
 
-    __slots__ = ("n", "field", "_terms", "_den")
+    __slots__ = ("n", "field", "_terms", "_den", "_blocks")
 
     def __init__(self, n: int, field, terms=None):
         data: dict[int, object] = {}
@@ -142,6 +188,7 @@ class AlgebraElement:
         pairs = ((r, c.numerator * (den // c.denominator)) for r, c in data.items())
         canon = _canonical(n, field, pairs, den)
         self.n, self.field, self._terms, self._den = n, field, canon._terms, canon._den
+        self._blocks = None
 
     @classmethod
     def _raw(cls, n: int, field, terms: dict[int, int], den: int = 1) -> "AlgebraElement":
@@ -151,6 +198,7 @@ class AlgebraElement:
         a.field = field
         a._terms = terms
         a._den = den
+        a._blocks = None
         return a
 
     @classmethod
@@ -300,7 +348,15 @@ def scale(c, a: AlgebraElement) -> AlgebraElement:
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The convolution product: sum of coeff_a(u) coeff_b(v) on uv."""
+    """The convolution product: sum of coeff_a(u) coeff_b(v) on uv.
+
+    When b is a rook sum with a right Young subgroup Y larger than {1}, b is
+    a sum of whole left cosets vY, so b y = b for every y in Y and
+    a b = x Y_sum, with x the product of a and one term per coset of b.
+    Since (x Y_sum)(w) = sum of x(u) over u in wY, the product is constant
+    on each coset of Y and equal there to the sum of x over that coset:
+    each pair adds ca * cb to the sum of the coset of uv, and each coset's
+    sum is then written to all of its ranks."""
     _check_pair(a, b)
     n = a.n
     aterms, bterms = a._terms, b._terms
@@ -308,18 +364,30 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         return AlgebraElement.zero(n, a.field)
     if n <= MUL_TABLE_MAX_N:
         mt = _mul_table(n)
-        out = [0] * factorial(n)
-        # smaller support outermost
-        if len(aterms) <= len(bterms):
+        if b._blocks is not None:
+            ids = _coset_ids(n, b._blocks)
+            reps: dict[int, tuple[int, int]] = {}
+            for rv, cb in bterms.items():
+                reps.setdefault(ids[rv], (rv, cb))
+            sums = [0] * (max(ids) + 1)
             for ru, ca in aterms.items():
                 row = mt[ru]
-                for rv, cb in bterms.items():
-                    out[row[rv]] += ca * cb
+                for rv, cb in reps.values():
+                    sums[ids[row[rv]]] += ca * cb
+            pairs = enumerate([sums[c] for c in ids])
         else:
-            for rv, cb in bterms.items():
+            out = [0] * factorial(n)
+            # smaller support outermost
+            if len(aterms) <= len(bterms):
                 for ru, ca in aterms.items():
-                    out[mt[ru][rv]] += ca * cb
-        pairs = enumerate(out)
+                    row = mt[ru]
+                    for rv, cb in bterms.items():
+                        out[row[rv]] += ca * cb
+            else:
+                for rv, cb in bterms.items():
+                    for ru, ca in aterms.items():
+                        out[mt[ru][rv]] += ca * cb
+            pairs = enumerate(out)
     else:
         perms = permutation_basis(n)
         acc: dict[int, int] = {}
@@ -381,6 +449,19 @@ def _board_ranks(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def _rook_sum(n: int, rows: tuple[int, ...], field) -> AlgebraElement:
+    """The sum of the board with column bitmask rows[i] at position i.
+    Swapping two positions of equal rows maps the board onto itself, so the
+    element keeps the classes of equal rows, labelled by first appearance,
+    as its right Young subgroup; with no equal rows it keeps none."""
+    a = AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows), 1))
+    labels: dict[int, int] = {}
+    blocks = bytes(labels.setdefault(mask, len(labels)) for mask in rows)
+    if len(labels) < n:
+        a._blocks = blocks
+    return a
+
+
 def board_sum(n: int, board: Iterable[tuple[int, int]], field=QQ) -> AlgebraElement:
     """Sum of all w in S_n with (i, w(i)) in the board for every i; the
     general rook sum, of which every other rook sum is a special board."""
@@ -389,12 +470,12 @@ def board_sum(n: int, board: Iterable[tuple[int, int]], field=QQ) -> AlgebraElem
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"square ({i},{j}) outside [{n}]x[{n}]")
         rows[i - 1] |= 1 << (j - 1)
-    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, tuple(rows)), 1))
+    return _rook_sum(n, tuple(rows), field)
 
 
 def group_sum(n: int, field=QQ) -> AlgebraElement:
     """The sum of all of S_n."""
-    return AlgebraElement._raw(n, field, dict.fromkeys(range(factorial(n)), 1))
+    return _rook_sum(n, ((1 << n) - 1,) * n, field)
 
 
 # -- minimal polynomials ---------------------------------------------------

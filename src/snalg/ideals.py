@@ -151,11 +151,11 @@ def build_J_basis(n: int, k: int, field=QQ, cap: int = BASIS_CAP) -> IdealBasis:
     leaders = []
     if k < n:
         avoiders = {v.rank() for v in enumerate_av(n, k + 1)}
-        for v in permutation_basis(n):
-            if v.rank() in avoiders:
+        for r, v in enumerate(permutation_basis(n)):
+            if r in avoiders:
                 continue
             U = increasing_witness(v, k)
-            elements.append(mul(AlgebraElement.from_perm(v, field), antisymmetrizer(U, field)))
+            elements.append(mul(AlgebraElement._raw(n, field, {r: 1}), antisymmetrizer(U, field)))
             leaders.append(v)
     return IdealBasis(n, k, field, "J", elements, leaders)
 
@@ -451,7 +451,7 @@ def mixed_quotient_check(n: int, k: int, l: int, field=QQ, cap: int = VERIFY_CAP
         s.insert(e.to_vector())
     avoiders = {v.rank() for v in enumerate_av(n, k + 1)}
     index_set = sorted(
-        v.rank() for v in enumerate_av_prime(n, l + 1) if v.rank() not in avoiders
+        r for r in (v.rank() for v in enumerate_av_prime(n, l + 1)) if r not in avoiders
     )
     rep.data["rank_sum"] = s.rank()
     rep.data["quotient_size"] = len(index_set)

@@ -25,7 +25,7 @@ from snalg.exactla import QQ
 from snalg.groupalg import (
     AlgebraElement,
     MinimalPolynomial,
-    _board_ranks,
+    _rook_sum,
     element_min_poly,
     mul,
     scale,
@@ -169,7 +169,7 @@ def nabla(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
         return AlgebraElement.zero(n, field)
     rest = B.complement().mask
     rows = tuple(B.mask if A.mask >> i & 1 else rest for i in range(n))
-    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows), 1))
+    return _rook_sum(n, rows, field)
 
 
 def nabla_tilde(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
@@ -179,7 +179,7 @@ def nabla_tilde(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
         return AlgebraElement.zero(n, field)
     full = (1 << n) - 1
     rows = tuple(B.mask if A.mask >> i & 1 else full for i in range(n))
-    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows), 1))
+    return _rook_sum(n, rows, field)
 
 
 def omega(B: Subset, C: Subset) -> int:

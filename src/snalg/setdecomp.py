@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from snalg.exactla import QQ
-from snalg.groupalg import AlgebraElement, _board_ranks, _canonical, _sign_table
+from snalg.groupalg import AlgebraElement, _board_ranks, _canonical, _rook_sum, _sign_table
 from snalg.perm import Permutation
 from snalg.rook import Subset
 
@@ -116,7 +116,7 @@ def row_sum(Bdec: SetDecomposition, Adec: SetDecomposition, field=QQ) -> Algebra
     for a, b in zip(Adec.blocks, Bdec.blocks):
         for i in a.members:
             rows[i - 1] = b.mask
-    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, tuple(rows)), 1))
+    return _rook_sum(n, tuple(rows), field)
 
 
 def antisymmetrizer(U: Subset, field=QQ) -> AlgebraElement:
@@ -142,7 +142,7 @@ def tuple_sum(b: Sequence[int], a: Sequence[int], n: int, field=QQ) -> AlgebraEl
     rows = [(1 << n) - 1] * n
     for ai, bi in required.items():
         rows[ai - 1] = 1 << (bi - 1)
-    return AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, tuple(rows)), 1))
+    return _rook_sum(n, tuple(rows), field)
 
 
 def random_set_composition(rng, n: int, max_blocks: int) -> SetDecomposition:

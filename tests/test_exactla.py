@@ -413,8 +413,9 @@ def test_insert_tagged_leaves_span_unchanged_on_dependency():
 
 
 def test_min_poly_matches_recorded_krylov_dependencies():
-    """Every kappa row at n <= 5: the minimal polynomial coefficients as
-    recorded from the earlier Fraction-row min_dependency, and the same
+    """Every kappa row at n <= 6: the minimal polynomial coefficients as
+    recorded from the earlier Fraction-row min_dependency (n <= 5) and from
+    the product before it worked coset by coset (n = 6), and the same
     dependency found by min_dependency on the explicit power list."""
     from snalg.groupalg import AlgebraElement, element_min_poly, mul
     from snalg.rook import kappa, kappa_rows
@@ -424,7 +425,7 @@ def test_min_poly_matches_recorded_krylov_dependencies():
     for line in table.read_text().splitlines()[1:]:
         n, a, b, c, coeffs = line.split("\t")
         recorded[int(n), int(a), int(b), int(c)] = [Fraction(x) for x in coeffs.split()]
-    rows = [(n, *abc) for n in range(1, 6) for abc in kappa_rows(n)]
+    rows = [(n, *abc) for n in range(1, 7) for abc in kappa_rows(n)]
     assert sorted(rows) == sorted(recorded)
     for n, a, b, c in rows:
         want = recorded[n, a, b, c]

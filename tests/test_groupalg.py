@@ -3,6 +3,7 @@ bilinear form, board sums and minimal polynomials."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -14,6 +15,8 @@ from snalg.groupalg import (
     AlgebraElement,
     MinimalPolynomial,
     _board_ranks,
+    _coset_ids,
+    _mul_table,
     add,
     antipode,
     board_sum,
@@ -26,8 +29,8 @@ from snalg.groupalg import (
     sign_twist,
 )
 from snalg.perm import Permutation, all_permutations, compose, identity, inverse, sign
-from snalg.rook import Subset
-from snalg.setdecomp import antisymmetrizer
+from snalg.rook import Subset, nabla, nabla_tilde
+from snalg.setdecomp import SetDecomposition, act, antisymmetrizer, row_sum, tuple_sum
 
 
 def random_element(rng, n, field=QQ, max_terms=5):
@@ -146,6 +149,163 @@ def test_mul_beyond_table_matches_compose():
         s = AlgebraElement.from_perm(Permutation([2, 1] + list(range(3, n + 1))), field)
         assert mul(one - s, one + s).is_zero()
         assert _compose_product(one - s, one + s).is_zero()
+
+
+def test_mul_table_matches_compose():
+    for n in range(1, MUL_TABLE_MAX_N + 1):
+        perms = list(all_permutations(n))
+        mt = _mul_table(n)
+        # every row below n = 6, every 37th row at n = 6
+        for ru in range(0, len(perms), 37 if n == 6 else 1):
+            want = [compose(perms[ru], v).rank() for v in perms]
+            assert list(mt[ru]) == want
+
+
+def _double_loop_product(a, b):
+    """The product by a double loop over every pair of terms, independent
+    of the coset path of mul."""
+    mt = _mul_table(a.n)
+    acc = {}
+    for ru, ca in a._terms.items():
+        row = mt[ru]
+        for rv, cb in b._terms.items():
+            acc[row[rv]] = acc.get(row[rv], 0) + ca * cb
+    den = a._den * b._den
+    return AlgebraElement(a.n, a.field, [(r, Fraction(c, den)) for r, c in acc.items()])
+
+
+def _random_subset(rng, n, size=None):
+    if size is None:
+        size = rng.randrange(n + 1)
+    return Subset(n, rng.sample(range(1, n + 1), size))
+
+
+def _rook_sums(rng, n, field):
+    """One element of each rook-sum family, built on random subsets."""
+    A = _random_subset(rng, n)
+    B = _random_subset(rng, n, A.size)
+    C = _random_subset(rng, n, rng.randrange(A.size, n + 1))
+    labels = [rng.randrange(2) for _ in range(n)]
+    blocks = [[i for i in range(1, n + 1) if labels[i - 1] == x] for x in (0, 1)]
+    Adec = SetDecomposition.from_members(n, blocks)
+    w = Permutation.unrank(n, rng.randrange(factorial(n)))
+    t = rng.randrange(n)
+    a_tuple = rng.sample(range(1, n + 1), t)
+    squares = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return {
+        "nabla": nabla(B, A, field),
+        "nabla_tilde": nabla_tilde(C, A, field),
+        "row_sum": row_sum(act(w, Adec), Adec, field),
+        "tuple_sum": tuple_sum([w(x) for x in a_tuple], a_tuple, n, field),
+        "board_sum equal rows": board_sum(n, [sq for sq in squares if rng.random() < 0.7], field),
+        # the derangement board: every row misses a different column
+        "board_sum distinct rows": board_sum(n, [(i, j) for i, j in squares if i != j], field),
+        "group_sum": group_sum(n, field),
+    }
+
+
+def _left_factors(rng, n, field):
+    w = Permutation.unrank(n, rng.randrange(factorial(n)))
+    A = _random_subset(rng, n)
+    random_terms = [
+        (rng.randrange(factorial(n)), Fraction(rng.randint(-9, 9), rng.randint(2, 5)))
+        for _ in range(rng.randint(2, 12))
+    ]
+    if field.characteristic:
+        random_terms = [(r, c.numerator) for r, c in random_terms]
+    return [
+        AlgebraElement.from_perm(w, field),
+        nabla_tilde(_random_subset(rng, n, rng.randrange(A.size, n + 1)), A, field),
+        AlgebraElement(n, field, random_terms),
+        AlgebraElement.zero(n, field),
+    ]
+
+
+def test_coset_mul_matches_double_loop():
+    rng = random.Random(307)
+    fractional = 0
+    for n in range(1, MUL_TABLE_MAX_N + 1):
+        for field in (QQ, GF(2), GF(3)):
+            for _ in range(2 if n < 6 else 1):
+                for name, b in _rook_sums(rng, n, field).items():
+                    for a in _left_factors(rng, n, field):
+                        fractional += a._den > 1
+                        assert mul(a, b) == _double_loop_product(a, b), (n, field, name)
+                    # the coset path holds for any b constant on the cosets
+                    # of its Young subgroup, not only for coefficients 1
+                    scaled = scale(Fraction(-3, 2) if field is QQ else -1, b)
+                    scaled._blocks = b._blocks
+                    a = _left_factors(rng, n, field)[2]
+                    assert mul(a, scaled) == _double_loop_product(a, scaled), (n, field, name)
+    assert fractional > 0
+    # a board whose rows all differ keeps no Young subgroup
+    assert board_sum(3, [(1, 1), (2, 1), (2, 2), (3, 3)])._blocks is None
+    assert group_sum(4)._blocks == bytes(4)
+    assert nabla(Subset(4, (1, 3)), Subset(4, (2, 4)))._blocks == bytes((0, 1, 0, 1))
+
+
+def test_elements_derived_from_rook_sums_take_the_plain_path():
+    rng = random.Random(311)
+    for n in (3, 6):
+        for field in (QQ, GF(3)):
+            one = AlgebraElement.one(n, field)
+            for name, rook in _rook_sums(rng, n, field).items():
+                derived = [
+                    scale(Fraction(1, 2) if field is QQ else 2, rook),
+                    add(rook, one),
+                    antipode(rook),
+                    sign_twist(rook),
+                    mul(one, rook),
+                ]
+                for x in derived:
+                    assert x._blocks is None, name
+                    # a permutation and a random element on the left
+                    for a in _left_factors(rng, n, field)[::2]:
+                        assert mul(a, x) == _double_loop_product(a, x), (n, field, name)
+            U = _random_subset(rng, n, n - 1)
+            signed = antisymmetrizer(U, field)
+            assert signed._blocks is None
+            for a in _left_factors(rng, n, field):
+                assert mul(a, signed) == _double_loop_product(a, signed)
+
+
+def _set_partitions(n):
+    """Every partition of positions 0..n-1 as block labels by first
+    appearance (restricted growth strings)."""
+    out = [()]
+    for _ in range(n):
+        out = [lab + (x,) for lab in out for x in range(max(lab, default=-1) + 2)]
+    return out
+
+
+def test_coset_tables_are_young_subgroup_cosets():
+    rng = random.Random(313)
+    for n in range(1, MUL_TABLE_MAX_N + 1):
+        perms = list(all_permutations(n))
+        partitions = _set_partitions(n)
+        # every partition up to n = 5, 15 of the 203 at n = 6
+        for labels in partitions if n < 6 else rng.sample(partitions, 15):
+            blocks = bytes(labels)
+            ids = _coset_ids(n, blocks)
+            order = 1
+            for x in set(labels):
+                order *= factorial(labels.count(x))
+            sizes = Counter(ids)
+            assert set(sizes.values()) == {order}
+            assert sorted(sizes) == list(range(factorial(n) // order))
+            # the sum of Y is the board letting each position take the
+            # positions of its block
+            young = board_sum(n, [
+                (i + 1, j + 1) for i in range(n) for j in range(n) if labels[i] == labels[j]
+            ])
+            assert young._blocks == (blocks if order > 1 else None)
+            ys = [y for y in perms if all(labels[y(i + 1) - 1] == labels[i] for i in range(n))]
+            assert young == AlgebraElement(n, QQ, [(y, 1) for y in ys])
+            for w in rng.sample(perms, min(len(perms), 3)):
+                coset = [r for r, c in enumerate(ids) if c == ids[w.rank()]]
+                want = AlgebraElement(n, QQ, [(r, 1) for r in coset])
+                assert mul(AlgebraElement.from_perm(w), young) == want
+                assert want == AlgebraElement(n, QQ, [(compose(w, y), 1) for y in ys])
 
 
 def assert_canonical(a):

@@ -323,6 +323,13 @@ def test_product_rules_size_errors():
         product_rule_b(big, big, big, big)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_product_rule_fuzz_at_six(field):
+    # at n = 6 the direct product nabla(D, C) * nabla(B, A) runs coset by coset
+    rep = product_rule_fuzz(6, trials=40, seed=5, field=field)
+    assert rep.passed and rep.data["cases"] == 40
+
+
 @pytest.mark.parametrize("n, trials", [(5, 0), (5, -2), (3, 0)])
 def test_product_rule_fuzz_refuses_no_trials(n, trials):
     # a sampled check that ran zero cases must not report a pass
