@@ -21,7 +21,7 @@ from functools import lru_cache
 from importlib import resources
 from math import comb, lcm
 
-from snalg.exactla import DenseMatrix, QQ, SpanBasis
+from snalg.exactla import QQ, SpanBasis
 from snalg.groupalg import AlgebraElement, mul as algebra_mul
 from snalg.report import Report
 from snalg.rook import Subset, nabla, omega, subsets_of_size
@@ -447,6 +447,15 @@ def _unitalized_gram(n: int) -> list[list[int]]:
     return g
 
 
+def _gram_span(n: int) -> SpanBasis:
+    """The span over Q of the rows of the unitalized Gram matrix."""
+    g = _unitalized_gram(n)
+    span = SpanBasis(QQ, len(g))
+    for row in g:
+        span.insert(row)
+    return span
+
+
 def radical_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
     """Dimension of the Jacobson radical over the rationals, as the
     nullity of the trace form on the unitalization (the radical of the
@@ -458,22 +467,18 @@ def radical_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
     _check_cap(n, cap)
     if field.characteristic != 0:
         raise ValueError("radical computation is supported over the rationals only")
-    g = _unitalized_gram(n)
-    span = SpanBasis(QQ, len(g))
-    for row in g:
-        span.insert(row)
-    return len(g) - span.rank()
+    span = _gram_span(n)
+    return span.ambient - span.rank()
 
 
 def radical_basis(n: int, cap: int = DALG_CAP) -> list[DElement]:
-    """A basis of the radical over the rationals (coordinates on the
-    Δ-symbols; the unitalization coordinate of every nullspace vector is
-    zero)."""
+    """A basis of the radical over the rationals: the kernel of the trace
+    form on the unitalization, read off the `SpanBasis` of the integer Gram
+    rows by `SpanBasis.kernel`, as coordinates on the Δ-symbols.  The
+    unitalization coordinate of every kernel vector is zero."""
     _check_cap(n, cap)
-    g = _unitalized_gram(n)
-    matrix = DenseMatrix(QQ, [[Fraction(x) for x in row] for row in g])
     out = []
-    for vec in matrix.nullspace():
+    for vec in _gram_span(n).kernel():
         if vec[0]:
             raise ArithmeticError("radical vector escapes the non-unital part")
         out.append(DElement(n, QQ, dict(enumerate(vec[1:]))))

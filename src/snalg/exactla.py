@@ -18,8 +18,10 @@ Q are still exact, not modular: each step multiplies a vector by a nonzero
 integer, which changes no span.  `SpanBasis.insert_tagged` appends a unit
 tag to each vector of a sequence, so the first linear dependency can be
 read off the tags; `min_dependency` and the Krylov loop behind minimal
-polynomials use it.  `DenseMatrix` gives the rank, reduced echelon form
-and nullspace of a dense matrix by exact Gaussian elimination.
+polynomials use it.  `SpanBasis.kernel` reads a nullspace basis straight
+off the stored rows, one vector per free column.  `DenseMatrix` is a plain
+dense matrix value; its rank and nullspace are those of the `SpanBasis` of
+its rows, so `SpanBasis` is the only elimination in the package.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ __all__ = [
     "SpanBasis",
     "ExtendRequired",
     "min_dependency",
-    "rank",
-    "nullspace",
-    "span_insert",
-    "span_contains",
     "span_equal",
     "span_sum_rank",
     "span_intersection_dim",
@@ -154,33 +152,9 @@ def require_invertible_factorial(field, n: int) -> None:
         raise ValueError(f"modulus {p} divides {n}!")
 
 
-def _axpy(field, dst: list, src: Sequence, c) -> None:
-    """dst += c * src, in place."""
-    p = field.characteristic
-    if p == 0:
-        for j, s in enumerate(src):
-            if s:
-                dst[j] += c * s
-    else:
-        for j, s in enumerate(src):
-            if s:
-                dst[j] = (dst[j] + c * s) % p
-
-
-def _scale(field, row: list, c) -> None:
-    p = field.characteristic
-    if p == 0:
-        for j, x in enumerate(row):
-            if x:
-                row[j] = x * c
-    else:
-        for j, x in enumerate(row):
-            if x:
-                row[j] = x * c % p
-
-
 class DenseMatrix:
-    """A dense matrix over an exact field; rows of scalars."""
+    """A dense matrix over an exact field; rows of scalars.  Its rank and
+    nullspace are those of the `SpanBasis` of its rows."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -204,72 +178,21 @@ class DenseMatrix:
     def zeros(cls, field, nrows: int, ncols: int) -> "DenseMatrix":
         return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
 
-    def _rref(self, rows: list[list]) -> list[int]:
-        """Reduce `rows` in place to reduced row echelon form; return pivot
-        columns."""
-        field = self.field
-        pivots = []
-        r = 0
-        for col in range(self.ncols):
-            if r == len(rows):
-                break
-            best = next((i for i in range(r, len(rows)) if rows[i][col]), -1)
-            if best < 0:
-                continue
-            rows[r], rows[best] = rows[best], rows[r]
-            piv = rows[r]
-            c = piv[col]
-            if c != field.one:
-                _scale(field, piv, field.inv(c))
-            for i, row in enumerate(rows):
-                if i != r and row[col]:
-                    _axpy(field, row, piv, -row[col] if field.characteristic == 0
-                          else field.p - row[col])
-            pivots.append(col)
-            r += 1
-        return pivots
-
-    def rref(self) -> tuple["DenseMatrix", list[int]]:
-        rows = [row[:] for row in self.rows]
-        pivots = self._rref(rows)
-        out = DenseMatrix.zeros(self.field, 0, self.ncols)
-        out.rows = rows
-        out.nrows = len(rows)
-        return out, pivots
+    def _span(self) -> "SpanBasis":
+        span = SpanBasis(self.field, self.ncols)
+        for row in self.rows:
+            span.insert(row)
+        return span
 
     def rank(self) -> int:
-        rows = [row[:] for row in self.rows]
-        return len(self._rref(rows))
+        return self._span().rank()
 
     def nullspace(self) -> list[list]:
         """Basis of {x : self·x = 0}."""
-        field = self.field
-        rows = [row[:] for row in self.rows]
-        pivots = self._rref(rows)
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            vec = [field.zero] * self.ncols
-            vec[free] = field.one
-            for i, pc in enumerate(pivots):
-                x = rows[i][free]
-                if x:
-                    vec[pc] = field.normalize(-x)
-            basis.append(vec)
-        return basis
+        return self._span().kernel()
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.field!r}, {self.nrows}x{self.ncols})"
-
-
-def rank(m: DenseMatrix) -> int:
-    return m.rank()
-
-
-def nullspace(m: DenseMatrix) -> list[list]:
-    return m.nullspace()
 
 
 def _integer_vector(v: Sequence) -> list[int]:
@@ -447,6 +370,28 @@ class SpanBasis:
     def contains(self, v: Sequence) -> bool:
         return not any(self._reduce(self._entry(v)))
 
+    def kernel(self) -> list[list]:
+        """Basis of {x : r·x = 0 for every stored row r}, one vector per
+        free column f: x_f = 1, x_pc = −row[f]/row[pc] at each row's pivot
+        column pc, 0 elsewhere.  Field scalars, in order of f.  The reduced
+        echelon rows are unique to the span, so this is the basis that
+        Gauss–Jordan elimination of any spanning set reads off."""
+        field = self.field
+        p = field.characteristic
+        pivots = set(self._pivots)
+        basis = []
+        for f in range(self.ambient):
+            if f in pivots:
+                continue
+            vec = [field.zero] * self.ambient
+            vec[f] = field.one
+            for row, pc in zip(self._rows, self._pivots):
+                x = row.get(f)
+                if x:  # over F_p, x in [1, p) and row[pc] = 1
+                    vec[pc] = p - x if p else Fraction(-x, row[pc])
+            basis.append(vec)
+        return basis
+
     def copy(self) -> "SpanBasis":
         s = SpanBasis(self.field, self.ambient)
         s._rows = [row.copy() for row in self._rows]
@@ -466,14 +411,6 @@ class SpanBasis:
 
     def __repr__(self) -> str:
         return f"SpanBasis({self.field!r}, ambient={self.ambient}, rank={self.rank()})"
-
-
-def span_insert(s: SpanBasis, v: Sequence) -> bool:
-    return s.insert(v)
-
-
-def span_contains(s: SpanBasis, v: Sequence) -> bool:
-    return s.contains(v)
 
 
 def span_equal(s: SpanBasis, t: SpanBasis) -> bool:

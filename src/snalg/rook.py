@@ -25,6 +25,7 @@ from snalg.exactla import QQ
 from snalg.groupalg import (
     AlgebraElement,
     MinimalPolynomial,
+    _canonical,
     _rook_sum,
     element_min_poly,
     mul,
@@ -227,11 +228,14 @@ def product_rule_a(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> Alge
     the sum of nabla(U, A) over the |A|-subsets U with |U ∩ D| = |B ∩ C|."""
     n = _check_product_sizes(D, C, B, A)
     target = (B.mask & C.mask).bit_count()
-    acc = AlgebraElement.zero(n, field)
+    w = omega(B, C)
+    acc: dict[int, int] = {}
     for U in subsets_of_size(n, A.size):
         if (U.mask & D.mask).bit_count() == target:
-            acc = acc + nabla(U, A, field)
-    return scale(omega(B, C), acc)
+            # every term of a rook sum is 1
+            for r in nabla(U, A, field)._terms:
+                acc[r] = acc.get(r, 0) + w
+    return _canonical(n, field, acc.items())
 
 
 def product_rule_b(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> AlgebraElement:
@@ -244,16 +248,18 @@ def product_rule_b(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> Alge
         )
     j0 = (B.mask & C.mask).bit_count()
     w = omega(B, C)
-    acc = AlgebraElement.zero(n, field)
+    acc: dict[int, int] = {}
     for size in range(min(D.size, A.size) + 1):
-        coeff = field.from_int(w * (-1) ** (size - j0) * comb(size, j0))
-        if not coeff:
+        coeff = w * (-1) ** (size - j0) * comb(size, j0)
+        if not field.from_int(coeff):
             continue
         for um in combinations(D.members, size):
             U = Subset(n, um)
             for vm in combinations(A.members, size):
-                acc = acc + scale(coeff, nabla(U, Subset(n, vm), field))
-    return acc
+                # every term of a rook sum is 1
+                for r in nabla(U, Subset(n, vm), field)._terms:
+                    acc[r] = acc.get(r, 0) + coeff
+    return _canonical(n, field, acc.items())
 
 
 def product_rule_c(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> AlgebraElement:
@@ -262,14 +268,16 @@ def product_rule_c(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> Alge
     n = _check_product_sizes(D, C, B, A)
     j0 = (B.mask & C.mask).bit_count()
     w = omega(B, C)
-    acc = AlgebraElement.zero(n, field)
+    acc: dict[int, int] = {}
     for size in range(A.size + 1):
-        coeff = field.from_int(w * (-1) ** (size - j0) * comb(size, j0))
-        if not coeff:
+        coeff = w * (-1) ** (size - j0) * comb(size, j0)
+        if not field.from_int(coeff):
             continue
         for vm in combinations(A.members, size):
-            acc = acc + scale(coeff, nabla_tilde(D, Subset(n, vm), field))
-    return acc
+            # every term of a rook sum is 1
+            for r in nabla_tilde(D, Subset(n, vm), field)._terms:
+                acc[r] = acc.get(r, 0) + coeff
+    return _canonical(n, field, acc.items())
 
 
 def product_rule_fuzz(n: int, trials: int = 200, seed: int = 0, field=QQ) -> "Report":

@@ -3,12 +3,13 @@ formulas, center/radical dimensions, and the homomorphism onto rook sums."""
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
 from snalg.dalg import (
     DElement,
+    _unitalized_gram,
     associativity_check,
     basis_index,
     basis_pairs,
@@ -24,10 +25,12 @@ from snalg.dalg import (
     to_group_algebra,
     unity_find,
 )
-from snalg.exactla import GF, QQ, DenseMatrix, SpanBasis
+from snalg.exactla import GF, QQ, SpanBasis
 from snalg.groupalg import mul as algebra_mul
 from snalg.perm import enumerate_av
 from snalg.rook import Subset, nabla
+
+import gauss_jordan as gj
 
 
 def S(n, *members):
@@ -228,14 +231,14 @@ def test_center_dims_small():
 
 def reference_center_dim(n, field):
     """The center as the common kernel of x ↦ xΔᵢ − Δᵢx over the basis
-    symbols, built from DElement products and solved by
-    DenseMatrix.nullspace."""
+    symbols, built from DElement products and solved by the test-local
+    Gauss–Jordan nullspace."""
     gens = [DElement(n, field, {i: field.one}) for i in range(d_dim(n))]
     rows = []
     for g in gens:
         images = [d_mul(x, g) - d_mul(g, x) for x in gens]
         rows += [[img.coeff(t) for img in images] for t in range(d_dim(n))]
-    return len(DenseMatrix(field, rows).nullspace())
+    return len(gj.nullspace(field, rows, d_dim(n)))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
@@ -268,9 +271,32 @@ def test_radical_dims_small():
 
 
 def test_radical_dim_matches_nullspace_basis():
-    # the span rank against an independent Fraction nullspace
+    # the basis read off SpanBasis.kernel against the Gauss–Jordan nullspace
+    # of the Gram matrix, vector for vector
     for n in (2, 3, 4):
-        assert len(radical_basis(n)) == radical_dim(n)
+        gram = _unitalized_gram(n)
+        want = gj.nullspace(QQ, gram, len(gram))
+        assert all(v[0] == 0 for v in want)
+        got = radical_basis(n)
+        assert [x.to_vector() for x in got] == [v[1:] for v in want]
+        assert len(got) == radical_dim(n)
+
+
+def test_radical_basis_n5():
+    # 84 is the paper's radical dimension at n = 5; each vector, with a zero
+    # unitalization coordinate, is killed by the Gram matrix
+    got = radical_basis(5)
+    assert len(got) == 84
+    gram = _unitalized_gram(5)
+    for x in got:
+        terms = [(i + 1, c) for i, c in enumerate(x.to_vector()) if c]
+        den = lcm(*(c.denominator for _, c in terms))
+        terms = [(i, c.numerator * (den // c.denominator)) for i, c in terms]
+        assert all(sum(row[i] * c for i, c in terms) == 0 for row in gram)
+    span = SpanBasis(QQ, d_dim(5))
+    for x in got:
+        span.insert(x.to_vector())
+    assert span.rank() == 84
 
 
 def test_radical_rejects_prime_fields():

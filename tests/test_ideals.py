@@ -189,14 +189,18 @@ class TestVerifyRowMain:
 
 
 class TestComplements:
+    # every k at n <= 4: J_0 is everything, J_k = 0 for k >= n
     def test_orthogonal_complement(self):
-        for n, k in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 4)):
-            rep = orthogonal_complement_check(n, k)
-            assert rep.passed, str(rep)
+        for n in range(1, 5):
+            for k in range(n + 1):
+                rep = orthogonal_complement_check(n, k)
+                assert rep.passed, str(rep)
 
     def test_orthogonal_complement_prime_field(self):
-        rep = orthogonal_complement_check(3, 1, GF(5))
-        assert rep.passed, str(rep)
+        for n in range(1, 5):
+            for k in range(n + 1):
+                rep = orthogonal_complement_check(n, k, GF(5))
+                assert rep.passed, str(rep)
 
 
 class TestTupleSumSpan:
