@@ -5,6 +5,16 @@ rook-sum product rule:
     Δ_{D,C}·Δ_{B,A} = ω_{B,C} · Σ_{U⊆D, V⊆A, |U|=|V|}
                       (−1)^{|U|−|B∩C|} · C(|U|, |B∩C|) · Δ_{U,V}.
 
+With m = |B∩C|, the coefficient of Δ_{U,V} depends only on |U| and the
+size class (n, |C|, |B|, m), and the U, V range over a block that depends
+only on (D, A).  So no structure constant is stored: a product is a
+coefficient row per size class (`_coeff_row`) against the block of basis
+indices per (D, A) (`_blocks`), and `_mul_coeffs` sums the weights of all
+term pairs that share a block before expanding it once.  The trace of left
+multiplication is the paper's δ summed in closed form,
+τ_{D,C} = Σ_k C(n,k)·δ(D,C,k), and the trace form reads the sums of τ over
+each block.
+
 The module provides exact multiplication, associativity verification,
 unity search, center and Jacobson-radical dimensions (radical over the
 rationals via the trace form on the unitalization), and the linear map
@@ -22,9 +32,9 @@ from importlib import resources
 from math import comb, lcm
 
 from snalg.exactla import QQ, SpanBasis
-from snalg.groupalg import AlgebraElement, mul as algebra_mul
+from snalg.groupalg import AlgebraElement, _canonical, mul as algebra_mul
 from snalg.report import Report
-from snalg.rook import Subset, nabla, omega, subsets_of_size
+from snalg.rook import Subset, delta, nabla, omega, subsets_of_size
 
 __all__ = [
     "DALG_CAP",
@@ -108,27 +118,76 @@ def _subsets_of(mask: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(group) for group in by_size)
 
 
-# holds all 68,844 (n, i, j) with n <= DALG_CAP, and stays bounded past the cap
-@lru_cache(maxsize=sum(d_dim(n) ** 2 for n in range(1, DALG_CAP + 1)))
-def _pair_product(n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
-    """Integer structure constants of Δ_i·Δ_j as ((basis index, coeff), …)."""
-    pairs, index = _basis_data(n)
-    dmask, cmask = pairs[i]
-    bmask, amask = pairs[j]
-    m = (bmask & cmask).bit_count()
-    w = omega(Subset(n, mask=bmask), Subset(n, mask=cmask))
+@lru_cache(maxsize=None)
+def _blocks(n: int, dmask: int, amask: int) -> tuple[tuple[int, ...], ...]:
+    """Per size u, the basis indices of the Δ_{U,V} with U ⊆ D, V ⊆ A and
+    |U| = |V| = u: u ascending, then U, then V."""
+    _, index = _basis_data(n)
     dsubs = _subsets_of(dmask)
     asubs = _subsets_of(amask)
-    terms = []
-    for u in range(min(len(dsubs), len(asubs))):
-        binom = comb(u, m)
-        if not binom:
-            continue
-        coeff = w * binom * (-1) ** (u - m)
-        for umask in dsubs[u]:
-            for vmask in asubs[u]:
-                terms.append((index[(umask, vmask)], coeff))
-    return tuple(terms)
+    return tuple(
+        tuple(index[(umask, vmask)] for umask in dsubs[u] for vmask in asubs[u])
+        for u in range(min(len(dsubs), len(asubs)))
+    )
+
+
+@lru_cache(maxsize=None)
+def _coeff_row(n: int, c: int, b: int, m: int) -> tuple[int, ...]:
+    """coeffs[u] = ω(B,C)·(−1)^{u−m}·C(u,m) for u = 0..min(b, c): the
+    coefficient of every Δ_{U,V} with |U| = u in Δ_{D,C}·Δ_{B,A}, for any
+    |C| = c, |B| = b and |B∩C| = m, with ω from `rook.omega` on one such
+    pair.  Zero below u = m."""
+    cmask = (1 << c) - 1
+    bmask = ((1 << b) - 1) << (c - m)
+    w = omega(Subset(n, mask=bmask), Subset(n, mask=cmask))
+    return tuple(
+        -w * comb(u, m) if (u - m) & 1 else w * comb(u, m) for u in range(min(b, c) + 1)
+    )
+
+
+def _pair_row(n: int, i: int, j: int):
+    """(coefficient row, (dmask, amask)) of Δᵢ·Δⱼ: the product is
+    Σ_u row[u]·Σ _blocks(n, dmask, amask)[u]."""
+    pairs, _ = _basis_data(n)
+    dmask, cmask = pairs[i]
+    bmask, amask = pairs[j]
+    row = _coeff_row(n, cmask.bit_count(), bmask.bit_count(), (bmask & cmask).bit_count())
+    return row, (dmask, amask)
+
+
+def _mul_coeffs(n: int, x: dict, y: dict) -> dict:
+    """The product of {index: coeff} dicts, with the zero coefficients
+    dropped.  The weights of all term pairs that share a block (D, A) are
+    summed per size u first, then each block is expanded once."""
+    if len(x) == 1 and len(y) == 1:
+        ((i, xi),) = x.items()
+        ((j, yj),) = y.items()
+        row, key = _pair_row(n, i, j)
+        w = xi * yj
+        out = {}
+        for r, block in zip(row, _blocks(n, *key)):
+            if r:
+                c = w * r
+                for t in block:
+                    out[t] = c
+        return out
+    weights: dict[tuple[int, int], list] = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            row, key = _pair_row(n, i, j)
+            w = xi * yj
+            acc = weights.get(key)
+            if acc is None:
+                weights[key] = [w * r for r in row]
+            else:
+                weights[key] = [a + w * r for a, r in zip(acc, row)]
+    out: dict = {}
+    for key, ws in weights.items():
+        for w, block in zip(ws, _blocks(n, *key)):
+            if w:
+                for t in block:
+                    out[t] = out.get(t, 0) + w
+    return {t: c for t, c in out.items() if c}
 
 
 class DElement:
@@ -142,10 +201,11 @@ class DElement:
         self.field = field
         clean = {}
         if coeffs:
+            dim = d_dim(n)
             for idx, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
                 c = field.normalize(c)
                 if c:
-                    if not 0 <= idx < d_dim(n):
+                    if not 0 <= idx < dim:
                         raise ValueError(f"basis index {idx} out of range")
                     clean[idx] = c
         self._coeffs = clean
@@ -240,36 +300,37 @@ class DElement:
 
 
 def d_mul(x: DElement, y: DElement) -> DElement:
-    """Bilinear extension of the structure constants."""
+    """Bilinear extension of the structure constants, in block form: the
+    weights of all term pairs that share a block (D, A) are summed per size
+    first, then each block is expanded once (`_mul_coeffs`)."""
     if not isinstance(x, DElement) or not isinstance(y, DElement):
         raise TypeError("d_mul needs two Δ-algebra elements")
     if x.n != y.n or x.field is not y.field:
         raise ValueError("mixed Δ-algebra elements")
-    n, field = x.n, x.field
-    acc: dict[int, object] = {}
-    zero = field.zero
-    for i, xi in x._coeffs.items():
-        for j, yj in y._coeffs.items():
-            c = xi * yj
-            for t, m in _pair_product(n, i, j):
-                acc[t] = acc.get(t, zero) + c * m
-    return DElement(n, field, acc)
+    return DElement(x.n, x.field, _mul_coeffs(x.n, x._coeffs, y._coeffs))
 
 
 def to_group_algebra(x: DElement) -> AlgebraElement:
     """The linear map Δ_{B,A} ↦ ∇_{B,A} into the group algebra."""
-    pairs, _ = _basis_data(x.n)
-    total = AlgebraElement.zero(x.n, x.field)
+    n, field = x.n, x.field
+    pairs, _ = _basis_data(n)
+    # over F_p the coefficients are ints, of denominator 1
+    den = lcm(*(c.denominator for c in x._coeffs.values()))
+    acc: dict[int, int] = {}
     for idx, c in x._coeffs.items():
+        c = c.numerator * (den // c.denominator)
         b, a = pairs[idx]
-        total = total + c * nabla(Subset(x.n, mask=b), Subset(x.n, mask=a), x.field)
-    return total
+        # every term of a rook sum is 1
+        for r in nabla(Subset(n, mask=b), Subset(n, mask=a), field)._terms:
+            acc[r] = acc.get(r, 0) + c
+    return _canonical(n, field, acc.items(), den)
 
 
 def associativity_check(n: int, mode: str = None, trials: int = 10000, seed: int = 0) -> Report:
     """(xy)z = x(yz) on basis triples, computed over the integers (hence
     valid over every coefficient ring): exhaustive for n ≤ 3, seeded
-    random triples otherwise."""
+    random triples otherwise.  Both sides are products in block form
+    (`_mul_coeffs`), expanded to basis coordinates and compared."""
     _check_cap(n)
     if mode is None:
         mode = "exhaustive" if n <= 3 else "sampled"
@@ -279,17 +340,9 @@ def associativity_check(n: int, mode: str = None, trials: int = 10000, seed: int
     dim = d_dim(n)
 
     def triple_ok(i, j, k) -> bool:
-        left: dict[int, int] = {}
-        for t, m in _pair_product(n, i, j):
-            for s, m2 in _pair_product(n, t, k):
-                left[s] = left.get(s, 0) + m * m2
-        right: dict[int, int] = {}
-        for t, m in _pair_product(n, j, k):
-            for s, m2 in _pair_product(n, i, t):
-                right[s] = right.get(s, 0) + m * m2
-        return {s: c for s, c in left.items() if c} == {
-            s: c for s, c in right.items() if c
-        }
+        x, y, z = {i: 1}, {j: 1}, {k: 1}
+        left = _mul_coeffs(n, _mul_coeffs(n, x, y), z)
+        return left == _mul_coeffs(n, x, _mul_coeffs(n, y, z))
 
     ok = True
     witness = None
@@ -325,14 +378,16 @@ def _basis_delement(n: int, idx: int, field) -> DElement:
 def _multiplication_columns(n: int, i: int):
     """(right, left) for the generator Δᵢ, each as {t: {s: c}} with
     integer c: the coefficient of Δ_t in Δ_s·Δᵢ (right) and in Δᵢ·Δ_s
-    (left)."""
+    (left).  Each product is written into the columns straight from its
+    coefficient row and block, the single-term case of `_mul_coeffs`."""
     right: dict[int, dict[int, int]] = {}
     left: dict[int, dict[int, int]] = {}
     for s in range(d_dim(n)):
-        for t, m in _pair_product(n, s, i):
-            right.setdefault(t, {})[s] = m
-        for t, m in _pair_product(n, i, s):
-            left.setdefault(t, {})[s] = m
+        for cols, (row, key) in ((right, _pair_row(n, s, i)), (left, _pair_row(n, i, s))):
+            for r, block in zip(row, _blocks(n, *key)):
+                if r:
+                    for t in block:
+                        cols.setdefault(t, {})[s] = r
     return right, left
 
 
@@ -415,22 +470,21 @@ def center_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
 
 @lru_cache(maxsize=None)
 def _left_traces(n: int) -> tuple[int, ...]:
-    """τ_w = trace of left multiplication by Δ_w on the Δ-algebra."""
-    dim = d_dim(n)
-    traces = []
-    for w in range(dim):
-        total = 0
-        for t in range(dim):
-            for s, m in _pair_product(n, w, t):
-                if s == t:
-                    total += m
-        traces.append(total)
-    return tuple(traces)
+    """τ_{D,C} = trace of left multiplication by Δ_{D,C} on the Δ-algebra.
+    Δ_{D,C}·Δ_{B,A} has a Δ_{B,A} term only when B ⊆ D, with coefficient
+    ω(B,C)·(−1)^{|B|−|B∩C|}·C(|B|,|B∩C|), and A ranges over all C(n,|B|)
+    subsets of its size, so τ_{D,C} = Σ_k C(n,k)·δ(D,C,k) with the paper's
+    δ (`rook.delta`)."""
+    return tuple(
+        sum(comb(n, k) * delta(D, C, k) for k in range(D.size + 1))
+        for D, C in basis_pairs(n)
+    )
 
 
 def _unitalized_gram(n: int) -> list[list[int]]:
     """Gram matrix of (x, y) ↦ trace(L_{xy}) on the unitalization; index 0
-    is the adjoined unity."""
+    is the adjoined unity.  Entry (Δ_{D,C}, Δ_{B,A}) is Σ_u coeffs[u]·S(D,A,u),
+    with S(D,A,u) the sum of τ over `_blocks(n, D, A)[u]`."""
     dim = d_dim(n)
     traces = _left_traces(n)
     size = dim + 1
@@ -438,12 +492,17 @@ def _unitalized_gram(n: int) -> list[list[int]]:
     g[0][0] = size
     for i in range(dim):
         g[0][i + 1] = g[i + 1][0] = traces[i]
+    # per block (dmask, amask): the sum of τ over each size u of the block
+    sums: dict[tuple[int, int], list[int]] = {}
     for i in range(dim):
         for j in range(i, dim):
-            total = 0
-            for t, m in _pair_product(n, i, j):
-                total += m * traces[t]
-            g[i + 1][j + 1] = g[j + 1][i + 1] = total
+            row, key = _pair_row(n, i, j)
+            s = sums.get(key)
+            if s is None:
+                s = sums[key] = [
+                    sum(traces[t] for t in block) for block in _blocks(n, *key)
+                ]
+            g[i + 1][j + 1] = g[j + 1][i + 1] = sum(c * x for c, x in zip(row, s))
     return g
 
 
@@ -463,7 +522,11 @@ def radical_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
 
     The Gram matrix is integer and its rows go into a `SpanBasis` over Q,
     which eliminates fraction-free: each step scales a vector by a nonzero
-    integer, so the rank is exact over Q, with no modular step."""
+    integer, so the rank is exact over Q, with no modular step.  Its
+    entries come from the block form of the product: the traces are
+    τ_{D,C} = Σ_k C(n,k)·δ(D,C,k), and the entry at (Δ_{D,C}, Δ_{B,A}) is the
+    coefficient row of the size class dotted with the sums of τ over the
+    block (D, A)."""
     _check_cap(n, cap)
     if field.characteristic != 0:
         raise ValueError("radical computation is supported over the rationals only")

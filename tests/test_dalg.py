@@ -3,12 +3,16 @@ formulas, center/radical dimensions, and the homomorphism onto rook sums."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial, lcm
 
 import pytest
 
+import snalg.dalg as dalg
 from snalg.dalg import (
     DElement,
+    _left_traces,
     _unitalized_gram,
     associativity_check,
     basis_index,
@@ -28,7 +32,7 @@ from snalg.dalg import (
 from snalg.exactla import GF, QQ, SpanBasis
 from snalg.groupalg import mul as algebra_mul
 from snalg.perm import enumerate_av
-from snalg.rook import Subset, nabla
+from snalg.rook import Subset, delta, nabla, omega
 
 import gauss_jordan as gj
 
@@ -130,6 +134,161 @@ def test_table_n2():
         for b, a in v:
             expected = v[(d, a)] if b == c else u - v[(d, a)]
             assert d_mul(v[(d, c)], v[(b, a)]) == expected
+
+
+# ---------------------------------------------------------------------------
+# structure constants against the product rule, computed independently
+
+
+@lru_cache(maxsize=None)
+def symbols(n):
+    return basis_pairs(n)
+
+
+def sign(e):
+    return -1 if e % 2 else 1
+
+
+def reference_product(n, i, j):
+    """Δᵢ·Δⱼ as {index: int}, straight from the module docstring's rule:
+    ω(B,C)·Σ_{U⊆D, V⊆A, |U|=|V|} (−1)^{|U|−|B∩C|}·C(|U|,|B∩C|)·Δ_{U,V}."""
+    (D, C), (B, A) = symbols(n)[i], symbols(n)[j]
+    m = len(set(B.members) & set(C.members))
+    out = {}
+    for u in range(min(D.size, A.size) + 1):
+        coeff = omega(B, C) * sign(u - m) * comb(u, m)
+        if coeff:
+            for U in combinations(D.members, u):
+                for V in combinations(A.members, u):
+                    out[basis_index(n, Subset(n, U), Subset(n, V))] = coeff
+    return out
+
+
+def reference_traces(n):
+    """τ_{D,C} = Σ over every symbol Δ_{B,A} of its own coefficient in
+    Δ_{D,C}·Δ_{B,A}, which is nonzero only when B ⊆ D."""
+    out = []
+    for D, C in symbols(n):
+        total = 0
+        for B, A in symbols(n):
+            if B <= D:
+                m = len(set(B.members) & set(C.members))
+                total += omega(B, C) * sign(B.size - m) * comb(B.size, m)
+        out.append(total)
+    return out
+
+
+def basis_product(n, i, j, field=QQ):
+    return d_mul(DElement(n, field, {i: field.one}), DElement(n, field, {j: field.one}))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_structure_constants_match_rule_exhaustive(n):
+    for i in range(d_dim(n)):
+        for j in range(d_dim(n)):
+            want = reference_product(n, i, j)
+            assert basis_product(n, i, j) == DElement(n, QQ, want), (i, j)
+            got = dalg._mul_coeffs(n, {i: 1}, {j: 1})
+            assert got == want and all(type(c) is int for c in got.values())
+
+
+def test_structure_constants_match_rule_sampled_n5():
+    rng = random.Random(5)
+    dim = d_dim(5)
+    for _ in range(2000):
+        i, j = rng.randrange(dim), rng.randrange(dim)
+        assert basis_product(5, i, j) == DElement(5, QQ, reference_product(5, i, j)), (i, j)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+def test_d_mul_of_sums_is_bilinear(field):
+    # the block-summed path against the sum of the reference constants
+    rng = random.Random(11)
+    for n in (2, 3, 4):
+        dim = d_dim(n)
+        for _ in range(20):
+            x = {rng.randrange(dim): rng.randint(-5, 5) for _ in range(rng.randint(1, 6))}
+            y = {rng.randrange(dim): rng.randint(-5, 5) for _ in range(rng.randint(1, 6))}
+            want: dict[int, int] = {}
+            for i, xi in x.items():
+                for j, yj in y.items():
+                    for t, c in reference_product(n, i, j).items():
+                        want[t] = want.get(t, 0) + xi * yj * c
+            got = d_mul(DElement(n, field, x), DElement(n, field, y))
+            assert got == DElement(n, field, want)
+
+
+def test_traces_closed_form():
+    for n in range(1, 6):
+        want = reference_traces(n)
+        closed = [
+            sum(comb(n, k) * delta(D, C, k) for k in range(D.size + 1))
+            for D, C in symbols(n)
+        ]
+        assert list(_left_traces(n)) == want == closed
+        assert all(type(t) is int for t in _left_traces(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gram_matches_brute_force(n):
+    dim = d_dim(n)
+    tau = reference_traces(n)
+    want = [[dim + 1] + tau]
+    for i in range(dim):
+        row = [tau[i]]
+        for j in range(dim):
+            row.append(sum(c * tau[t] for t, c in reference_product(n, i, j).items()))
+        want.append(row)
+    got = _unitalized_gram(n)
+    assert got == want
+    assert all(type(c) is int for row in got for c in row)
+
+
+@pytest.fixture
+def fresh_rows():
+    # the coefficient rows are cached per size class; a test that patches
+    # what they are built from must not leave its rows behind
+    rows = dalg._coeff_row
+    rows.cache_clear()
+    yield
+    rows.cache_clear()
+
+
+def test_associativity_check_catches_corrupted_row(monkeypatch, fresh_rows):
+    real = dalg._coeff_row
+
+    def corrupted(n, c, b, m):
+        row = real(n, c, b, m)
+        if (n, c, b, m) == (4, 2, 2, 1):
+            return row[:1] + (row[1] + 1,) + row[2:]
+        return row
+
+    monkeypatch.setattr(dalg, "_coeff_row", corrupted)
+    rep = associativity_check(4, trials=2000, seed=0)
+    assert not rep.passed
+    assert rep.failures[0].witness.startswith("indices (")
+
+
+def test_quotient_map_check_catches_wrong_omega(monkeypatch, fresh_rows):
+    real = dalg.omega
+    monkeypatch.setattr(dalg, "omega", lambda B, C: real(B, C) * (2 if B.size == 1 else 1))
+    rep = quotient_map_check(3)
+    assert not rep.passed
+    assert rep.failures[0].witness.startswith("indices (")
+
+
+def test_no_per_pair_memo():
+    # the product is stored only as blocks per (D, A) and rows per size
+    # class: 4^5 = 1,024 blocks at n = 5, nothing per pair of symbols
+    caches = [f for f in vars(dalg).values() if hasattr(f, "cache_info")]
+    for f in caches:
+        f.cache_clear()
+    assert radical_dim(5) == 84
+    assert associativity_check(5, trials=10000, seed=1).passed
+    assert not hasattr(dalg, "_pair_product")
+    assert dalg._blocks.cache_info().currsize <= 1024
+    for f in caches:
+        assert f.cache_info().currsize <= 1024, f.__name__
 
 
 # ---------------------------------------------------------------------------
