@@ -406,8 +406,7 @@ class SpanBasis:
             and self._rows == other._rows
         )
 
-    def __hash__(self):
-        return NotImplemented
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"SpanBasis({self.field!r}, ambient={self.ambient}, rank={self.rank()})"

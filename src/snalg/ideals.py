@@ -178,9 +178,10 @@ def sign_twisted(basis: IdealBasis) -> IdealBasis:
     )
 
 
-def _unit_vector(n_fact: int, r: int, field):
-    v = [field.zero] * n_fact
-    v[r] = field.one
+def _unit_vector(n_fact: int, r: int) -> list[int]:
+    """e_r as an int list, which `SpanBasis` takes as is over either field."""
+    v = [0] * n_fact
+    v[r] = 1
     return v
 
 
@@ -294,10 +295,10 @@ def verify_row_main(
     iquot = ispan.copy()
     for r in range(n_fact):
         if r not in avoider_ranks:
-            iquot.insert(_unit_vector(n_fact, r, field))
+            iquot.insert(_unit_vector(n_fact, r))
     jquot = jspan.copy()
     for r in avoider_ranks:
-        jquot.insert(_unit_vector(n_fact, r, field))
+        jquot.insert(_unit_vector(n_fact, r))
     rep.add(
         "quotient_bases",
         iquot.rank() == n_fact and jquot.rank() == n_fact,
@@ -389,7 +390,7 @@ def tuple_sum_span_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Rep
         # J_m for negative m is the whole algebra: no avoidance constraint.
         tjspan = SpanBasis(field, n_fact)
         for r in range(n_fact):
-            tjspan.insert(_unit_vector(n_fact, r, field))
+            tjspan.insert(_unit_vector(n_fact, r))
     tuples = [()]
     for _ in range(k):
         tuples = [t + (x,) for t in tuples for x in range(1, n + 1)]
@@ -427,7 +428,7 @@ def twin_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Report:
     total = build_I_basis(n, k, field, cap).span()
     for r in range(n_fact):
         if r not in primes:
-            total.insert(_unit_vector(n_fact, r, field))
+            total.insert(_unit_vector(n_fact, r))
     rep.add("twin_quotient_basis", total.rank() == n_fact, note=f"rank {total.rank()}")
     return rep
 
@@ -454,7 +455,7 @@ def mixed_quotient_check(n: int, k: int, l: int, field=QQ, cap: int = VERIFY_CAP
     )
     total = s.copy()
     for r in index_set:
-        total.insert(_unit_vector(n_fact, r, field))
+        total.insert(_unit_vector(n_fact, r))
     rep.add("residues_complete", total.rank() == n_fact, note=f"rank {total.rank()}")
     return rep
 

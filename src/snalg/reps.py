@@ -314,14 +314,15 @@ class ModuleAction:
             rows[images[t]][t] = one if signs[t] > 0 else minus
         return DenseMatrix(field, rows)
 
-    def vectorized(self, w: Permutation, field=QQ) -> list:
-        """Row-major flattening of matrix(w), built sparsely."""
+    def vectorized(self, w: Permutation, field=QQ) -> list[int]:
+        """Row-major flattening of matrix(w), built sparsely as ints: 0, 1
+        and −1 (p − 1 over F_p), which `SpanBasis` takes as is."""
         images, signs = self.index_action(w)
-        one = field.one
-        minus = field.normalize(-1)
-        vec = [field.zero] * (self.dim * self.dim)
+        p = field.characteristic
+        minus = p - 1 if p else -1
+        vec = [0] * (self.dim * self.dim)
         for t in range(self.dim):
-            vec[images[t] * self.dim + t] = one if signs[t] > 0 else minus
+            vec[images[t] * self.dim + t] = 1 if signs[t] > 0 else minus
         return vec
 
     def __repr__(self) -> str:

@@ -267,6 +267,9 @@ def test_associativity_check_catches_corrupted_row(monkeypatch, fresh_rows):
     rep = associativity_check(4, trials=2000, seed=0)
     assert not rep.passed
     assert rep.failures[0].witness.startswith("indices (")
+    # the first failing triple of the seed-0 sample, as the expanded
+    # products find it
+    assert rep.failures[0].witness == "indices (33, 65, 62)"
 
 
 def test_quotient_map_check_catches_wrong_omega(monkeypatch, fresh_rows):
@@ -289,6 +292,80 @@ def test_no_per_pair_memo():
     assert dalg._blocks.cache_info().currsize <= 1024
     for f in caches:
         assert f.cache_info().currsize <= 1024, f.__name__
+
+
+# ---------------------------------------------------------------------------
+# associativity rows against the expanded products
+
+
+@lru_cache(maxsize=None)
+def random_row(n, c, b, m):
+    # a seeded integer row table, zeros included, in place of `_coeff_row`
+    rng = random.Random(f"{n}:{c}:{b}:{m}")
+    return tuple(rng.randint(-3, 3) for _ in range(min(b, c) + 1))
+
+
+def triple_class(n, i, j, k):
+    (_, cmask), (bmask, amask), (fmask, _) = (dalg._basis_data(n)[0][x] for x in (i, j, k))
+    return (
+        cmask.bit_count(),
+        bmask.bit_count(),
+        fmask.bit_count(),
+        (bmask & cmask).bit_count(),
+        (amask & fmask).bit_count(),
+    )
+
+
+def expanded_rows(n, i, k, rows):
+    """A row per size laid on the block (D, E) of Δᵢ = Δ_{D,C}, Δₖ = Δ_{F,E}."""
+    pairs, _ = dalg._basis_data(n)
+    blocks = dalg._blocks(n, pairs[i][0], pairs[k][1])
+    assert len(rows) == len(blocks)
+    return {t: r for r, block in zip(rows, blocks) if r for t in block}
+
+
+def sample_triples(n):
+    dim = d_dim(n)
+    if n <= 3:
+        return [(i, j, k) for i in range(dim) for j in range(dim) for k in range(dim)]
+    rng = random.Random(n)
+    return [tuple(rng.randrange(dim) for _ in range(3)) for _ in range({4: 1500, 5: 300}[n])]
+
+
+@pytest.mark.parametrize("table", ["real", "random"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_triple_rows_match_expansion(n, table, monkeypatch, fresh_rows):
+    if table == "random":
+        monkeypatch.setattr(dalg, "_coeff_row", random_row)
+    mul = dalg._mul_coeffs
+    for i, j, k in sample_triples(n):
+        left, right = dalg._triple_rows(n, *triple_class(n, i, j, k))
+        x, y, z = {i: 1}, {j: 1}, {k: 1}
+        assert expanded_rows(n, i, k, left) == mul(n, mul(n, x, y), z), (i, j, k)
+        assert expanded_rows(n, i, k, right) == mul(n, x, mul(n, y, z)), (i, j, k)
+
+
+@pytest.mark.parametrize("target", [(3, 1, 1, 0), (3, 1, 2, 1), (3, 2, 1, 1), (3, 2, 2, 1)])
+def test_associativity_witness_is_first_expanded_failure(target, monkeypatch, fresh_rows):
+    # one entry off in one row: only some classes fail, and the check must
+    # name the same first triple as the term-by-term comparison
+    real = dalg._coeff_row
+
+    def corrupted(n, c, b, m):
+        row = real(n, c, b, m)
+        return row[:-1] + (row[-1] + 1,) if (n, c, b, m) == target else row
+
+    monkeypatch.setattr(dalg, "_coeff_row", corrupted)
+    mul = dalg._mul_coeffs
+    want = None
+    for i, j, k in sample_triples(3):
+        x, y, z = {i: 1}, {j: 1}, {k: 1}
+        if mul(3, mul(3, x, y), z) != mul(3, x, mul(3, y, z)):
+            want = f"indices ({i}, {j}, {k})"
+            break
+    assert want is not None
+    rep = associativity_check(3)
+    assert [c.witness for c in rep.failures] == [want]
 
 
 # ---------------------------------------------------------------------------

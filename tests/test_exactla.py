@@ -162,6 +162,14 @@ def test_span_sum_and_intersection():
         span_equal(x, SpanBasis(GF(5), 3))
 
 
+def test_span_is_unhashable():
+    # spans compare by value and are mutable, so they have no hash
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(SpanBasis(QQ, 3))
+    with pytest.raises(TypeError, match="unhashable"):
+        {SpanBasis(GF(5), 2)}
+
+
 def test_span_over_prime_field():
     s = SpanBasis(GF(2), 3)
     assert s.insert([1, 1, 0])

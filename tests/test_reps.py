@@ -181,6 +181,18 @@ class TestModuleActions:
             assert col[w(j + 1) - 1] == QQ.one
             assert sum(1 for x in col if x) == 1
 
+    def test_vectorized_is_int_flattened_matrix(self):
+        # the sign-twisted permutation module: odd w give −1 entries,
+        # p − 1 over F_p
+        action = ModuleAction(3, 3, [[1, 0, 2], [0, 2, 1]], [[-1] * 3, [-1] * 3])
+        for field in (QQ, GF(5)):
+            for w in all_permutations(3):
+                vec = action.vectorized(w, field)
+                assert all(type(x) is int for x in vec)
+                flat = [x for row in action.matrix(w, field).rows for x in row]
+                assert vec == flat
+                assert (field.normalize(-1) in vec) == (-1 in action.index_action(w)[1])
+
     def test_invalid_generators_rejected(self):
         with pytest.raises(ValueError):
             ModuleAction(2, 2, [[0, 0]])
