@@ -189,6 +189,60 @@ def _random_perm(rng: random.Random, n: int) -> Permutation:
     return permutation_basis(n)[rng.randrange(factorial(n))]
 
 
+def _annihilation_witness(ibasis: IdealBasis, jbasis: IdealBasis):
+    """The first pair of an I- and a J-basis element, in basis order, whose
+    product in either order is nonzero, as text; None if there is none."""
+    for i, ei in zip(ibasis.leaders, ibasis.elements):
+        for j, ej in zip(jbasis.leaders, jbasis.elements):
+            if not mul(ei, ej).is_zero() or not mul(ej, ei).is_zero():
+                return f"I[{i.oln}] vs J[{j.oln}]"
+    return None
+
+
+def _annihilation_certificate(ibasis: IdealBasis, ispan: SpanBasis, aX: AlgebraElement) -> bool:
+    """Parts (a) and (b) of the annihilation certificate in `verify_row_main`:
+    s·e and e·s lie in `ispan` for every Coxeter generator s and I-basis
+    element e, and e·a_X = a_X·e = 0."""
+    n, field = ibasis.n, ibasis.field
+    gens = [
+        AlgebraElement.from_perm(Permutation([*range(1, i), i + 1, i, *range(i + 2, n + 1)]), field)
+        for i in range(1, n)
+    ]
+    return all(
+        ispan.contains(mul(s, e).to_vector()) and ispan.contains(mul(e, s).to_vector())
+        for e in ibasis.elements
+        for s in gens
+    ) and all(mul(e, aX).is_zero() and mul(aX, e).is_zero() for e in ibasis.elements)
+
+
+def _completion_rank(basis: IdealBasis, span: SpanBasis, added) -> int:
+    """The rank of `span`, the span of `basis`, together with the unit
+    vectors at the lex ranks `added`.
+
+    It is n! without elimination when the rows are unitriangular: the
+    leaders are distinct and disjoint from `added`, together they are all
+    n! ranks, and each element has coefficient +1 (denominator 1) at its
+    leader, with the rest of its support strictly lex-below the leader for
+    kind "I" and strictly lex-above for kind "J".  Sorted by leader, the
+    rows then form a square triangular matrix with 1 on the diagonal, of
+    full rank over any field.  Otherwise the rank is found by elimination."""
+    n_fact = factorial(basis.n)
+    extreme = max if basis.kind == "I" else min
+    ranks = set(added)
+    for v, e in zip(basis.leaders, basis.elements):
+        lead = v.rank()
+        if lead in ranks or e._den != 1 or e._terms.get(lead) != 1 or extreme(e._terms) != lead:
+            break
+        ranks.add(lead)
+    else:
+        if len(ranks) == n_fact:
+            return n_fact
+    total = span.copy()
+    for r in added:
+        total.insert(_unit_vector(n_fact, r))
+    return total.rank()
+
+
 def verify_row_main(
     n: int,
     k: int,
@@ -200,7 +254,28 @@ def verify_row_main(
     """Exact verification of the main structure theorem for (I_k, J_k):
     ranks, mutual annihilation, orthogonality, direct sum (when n! is
     invertible), sampled spanning, quotient bases, antipode stability, and
-    generation of J_k by a single antisymmetrizer."""
+    generation of J_k by a single antisymmetrizer.
+
+    Mutual annihilation (ii) is certified from generators instead of
+    multiplying every pair of basis elements.  With X = {1..k+1}:
+      (a) s·e and e·s lie in span(I) for every Coxeter generator s and
+          I-basis element e; the s generate S_n, so span(I) is a two-sided
+          ideal;
+      (b) e·a_X = a_X·e = 0 for every I-basis element e, hence for every
+          element of span(I);
+      (c) check (viii) passing shows that span(J) is spanned by products
+          u·a_X·v, so span(J) = 𝒜·a_X·𝒜.
+    Then I·J ⊆ (I·𝒜)·a_X·𝒜 ⊆ I·a_X·𝒜 = 0, and J·I ⊆ 𝒜·a_X·(𝒜·I) ⊆
+    𝒜·a_X·I = 0.  When J_k = 0 there is nothing to check.  When the
+    certificate does not close, every pair is multiplied, in both orders,
+    and the first nonzero product is the witness.
+
+    Orthogonality (iii) follows from (ii) and (vii): ⟨e, f⟩ is the
+    coefficient of the identity in e·S(f), with S the antipode; (vii) puts
+    S(f) in span(J), so e·S(f) = 0.  Otherwise every pair is dotted.
+
+    Quotient bases (vi) pass by the triangular argument of
+    `_completion_rank` when it applies, and by elimination otherwise."""
     _check_cap(n, cap)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -224,36 +299,12 @@ def verify_row_main(
         note=f"I: {ispan.rank()} (expect {num_av}), J: {jspan.rank()} (expect {n_fact - num_av})",
     )
 
-    # (ii) elementwise products vanish in both orders.
-    ok = True
-    witness = None
-    for i, ei in zip(ibasis.leaders, ibasis.elements):
-        for j, ej in zip(jbasis.leaders, jbasis.elements):
-            if not mul(ei, ej).is_zero() or not mul(ej, ei).is_zero():
-                ok, witness = False, f"I[{i.oln}] vs J[{j.oln}]"
-                break
-        if not ok:
-            break
-    rep.add("mutual_annihilation", ok, witness=witness)
-
-    # (iii) dot products vanish.
-    ok = True
-    witness = None
-    for i, ei in zip(ibasis.leaders, ibasis.elements):
-        for j, ej in zip(jbasis.leaders, jbasis.elements):
-            if dot(ei, ej):
-                ok, witness = False, f"I[{i.oln}] vs J[{j.oln}]"
-                break
-        if not ok:
-            break
-    rep.add("orthogonality", ok, witness=witness)
-
     # (iv) direct sum decomposition, valid when n! is invertible.
     if field.characteristic == 0 or factorial(n) % field.characteristic:
         total = ispan.copy()
         for e in jbasis.elements:
             total.insert(e.to_vector())
-        inter = span_intersection_dim(ispan, jspan)
+        inter = ispan.rank() + jspan.rank() - total.rank()
         rep.add(
             "direct_sum",
             total.rank() == n_fact and inter == 0,
@@ -292,26 +343,22 @@ def verify_row_main(
 
     # (vi) complementary permutations complete each span to full rank.
     avoider_ranks = {v.rank() for v in ibasis.leaders}
-    iquot = ispan.copy()
-    for r in range(n_fact):
-        if r not in avoider_ranks:
-            iquot.insert(_unit_vector(n_fact, r))
-    jquot = jspan.copy()
-    for r in avoider_ranks:
-        jquot.insert(_unit_vector(n_fact, r))
+    irank = _completion_rank(ibasis, ispan, [r for r in range(n_fact) if r not in avoider_ranks])
+    jrank = _completion_rank(jbasis, jspan, avoider_ranks)
     rep.add(
         "quotient_bases",
-        iquot.rank() == n_fact and jquot.rank() == n_fact,
-        note=f"I-completion {iquot.rank()}, J-completion {jquot.rank()}",
+        irank == n_fact and jrank == n_fact,
+        note=f"I-completion {irank}, J-completion {jrank}",
     )
 
     # (vii) the antipode preserves both spans.
-    ok = all(ispan.contains(antipode(e).to_vector()) for e in ibasis.elements) and all(
-        jspan.contains(antipode(e).to_vector()) for e in jbasis.elements
-    )
-    rep.add("antipode_stability", ok)
+    antipode_ok = all(
+        ispan.contains(antipode(e).to_vector()) for e in ibasis.elements
+    ) and all(jspan.contains(antipode(e).to_vector()) for e in jbasis.elements)
+    rep.add("antipode_stability", antipode_ok)
 
     # (viii) J_k is the two-sided ideal of a single (k+1)-antisymmetrizer.
+    generated = False
     if k < n:
         X = Subset(n, range(1, k + 2))
         aX = antisymmetrizer(X, field)
@@ -343,15 +390,38 @@ def verify_row_main(
                 ok, witness = False, f"{u.oln}*antisym({X})*{v.oln}"
                 break
             stall = 0 if regen.insert(vec) else stall + 1
+        generated = ok and regen.rank() == target
         rep.add(
             "single_generator",
-            ok and regen.rank() == target,
+            generated,
             note=f"regenerated rank {regen.rank()} of {target}",
             witness=witness,
         )
     else:
         rep.skip("single_generator", f"J_{k} = 0 for k >= n")
 
+    # (ii) products vanish in both orders: certified, or every pair.
+    witness = None
+    if not (generated and _annihilation_certificate(ibasis, ispan, aX)):
+        witness = _annihilation_witness(ibasis, jbasis)
+    annihilates = rep.add("mutual_annihilation", witness is None, witness=witness)
+
+    # (iii) dot products vanish: from (ii) and (vii), or every pair.
+    ok = True
+    witness = None
+    if not (annihilates and antipode_ok):
+        for i, ei in zip(ibasis.leaders, ibasis.elements):
+            for j, ej in zip(jbasis.leaders, jbasis.elements):
+                if dot(ei, ej):
+                    ok, witness = False, f"I[{i.oln}] vs J[{j.oln}]"
+                    break
+            if not ok:
+                break
+    rep.add("orthogonality", ok, witness=witness)
+
+    # (ii) and (iii) were decided last, as they rest on (vii) and (viii);
+    # report them after (i), in their numbered order
+    rep.checks[1:] = rep.checks[-2:] + rep.checks[1:-2]
     return rep
 
 

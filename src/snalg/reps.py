@@ -13,6 +13,7 @@ avoider counting identities are checked against hook-length data.
 from __future__ import annotations
 
 from array import array
+from fractions import Fraction
 from math import factorial
 
 from snalg.exactla import QQ, SpanBasis, DenseMatrix
@@ -378,19 +379,31 @@ def entry_action(n: int, k: int) -> ModuleAction:
     return ModuleAction(n, dim, gen_maps)
 
 
-def apply_element(action: ModuleAction, a: AlgebraElement) -> DenseMatrix:
-    """The matrix Σ_w coeff_a(w)·ρ(w)."""
+def _entry_sums(action: ModuleAction, a: AlgebraElement) -> dict[int, int]:
+    """The matrix Σ_w coeff_a(w)·ρ(w) as sparse integer entries {row·d +
+    column: value} over the denominator `a._den`, reduced mod p over F_p, so
+    an entry is zero exactly when its value is."""
     if a.n != action.n:
         raise ValueError("element size mismatch")
-    field = a.field
+    perms = permutation_basis(a.n)
     d = action.dim
-    rows = [[field.zero] * d for _ in range(d)]
-    for w, c in a.items():
-        images, signs = action.index_action(w)
+    sums: dict[int, int] = {}
+    for r, c in a._terms.items():
+        images, signs = action.index_action(perms[r])
         for t in range(d):
-            value = c if signs[t] > 0 else -c
-            rows[images[t]][t] = field.normalize(rows[images[t]][t] + value)
-    return DenseMatrix(field, rows)
+            key = images[t] * d + t
+            sums[key] = sums.get(key, 0) + (c if signs[t] > 0 else -c)
+    p = a.field.characteristic
+    return {key: x % p for key, x in sums.items()} if p else sums
+
+
+def apply_element(action: ModuleAction, a: AlgebraElement) -> DenseMatrix:
+    """The matrix Σ_w coeff_a(w)·ρ(w)."""
+    d = action.dim
+    rows = [[0] * d for _ in range(d)]
+    for key, x in _entry_sums(action, a).items():
+        rows[key // d][key % d] = Fraction(x, a._den)
+    return DenseMatrix(a.field, rows)
 
 
 def _image_rank(action: ModuleAction, perms, field) -> int:
@@ -413,8 +426,7 @@ def annihilator_check_V(n: int, k: int, field=QQ, cap: int = ANNIHILATOR_CAP) ->
     ok = True
     witness = None
     for v, e in zip(jbasis.leaders, jbasis.elements):
-        m = apply_element(action, e)
-        if any(any(row) for row in m.rows):
+        if any(_entry_sums(action, e).values()):
             ok, witness = False, f"J-basis element for {v.oln}"
             break
     rep.add("ideal_annihilates", ok, witness=witness)
@@ -455,8 +467,7 @@ def annihilator_check_N(n: int, k: int, field=QQ, cap: int = ANNIHILATOR_CAP) ->
         ok = True
         witness = None
         for v, e in zip(ibasis.leaders, ibasis.elements):
-            mat = apply_element(action, sign_twist(e))
-            if any(any(x) for x in mat.rows):
+            if any(_entry_sums(action, sign_twist(e)).values()):
                 ok, witness = False, f"twisted I-basis element for {v.oln}"
                 break
         rep.add("ideal_annihilates", ok, witness=witness)

@@ -261,10 +261,14 @@ GUARDED = {
     "counts_n5_k2_l2": ["counts", "--n", "5", "--k", "2", "--l", "2"],
     "ideal_suite_n4_k2": ["ideal-suite", "--n", "4", "--k", "2"],
     "ideal_suite_n4_k2_fp7": ["ideal-suite", "--n", "4", "--k", "2", "--field", "Fp:7"],
+    "ideal_suite_n5_k2": ["ideal-suite", "--n", "5", "--k", "2"],
+    "ideal_suite_n5_k2_fp7": ["ideal-suite", "--n", "5", "--k", "2", "--field", "Fp:7"],
     "mixed_quotient_n4_k2_l1_fp3": [
         "mixed-quotient", "--n", "4", "--k", "2", "--l", "1", "--field", "Fp:3"
     ],
     "annihilators_n4_k2_fp7": ["annihilators", "--n", "4", "--k", "2", "--field", "Fp:7"],
+    "annihilators_n5_k2": ["annihilators", "--n", "5", "--k", "2"],
+    "annihilators_n5_k2_fp7": ["annihilators", "--n", "5", "--k", "2", "--field", "Fp:7"],
     "cross_char_n4": ["cross-char", "--n", "4"],
     "dalg_stats_n4_fp3": ["dalg-stats", "--n", "4", "--field", "Fp:3"],
 }

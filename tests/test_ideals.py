@@ -7,8 +7,9 @@ from math import factorial
 
 import pytest
 
-from snalg.exactla import GF, QQ, SpanBasis
-from snalg.groupalg import AlgebraElement, mul, sign_twist
+import snalg.ideals as ideals
+from snalg.exactla import GF, QQ, SpanBasis, span_intersection_dim
+from snalg.groupalg import AlgebraElement, dot, mul, sign_twist
 from snalg.ideals import (
     IdealBasis,
     build_I_basis,
@@ -186,6 +187,220 @@ class TestVerifyRowMain:
         assert obj["passed"] is True
         assert obj["context"] == {"n": 3, "k": 2, "field": "Q"}
         assert {c["name"] for c in obj["checks"]} >= {"ranks", "mutual_annihilation"}
+
+
+def exhaustive_annihilation_witness(ibasis, jbasis):
+    """Reference for check (ii): every pair, both orders."""
+    for i, ei in zip(ibasis.leaders, ibasis.elements):
+        for j, ej in zip(jbasis.leaders, jbasis.elements):
+            if not mul(ei, ej).is_zero() or not mul(ej, ei).is_zero():
+                return f"I[{i.oln}] vs J[{j.oln}]"
+    return None
+
+
+def exhaustive_orthogonality_witness(ibasis, jbasis):
+    """Reference for check (iii): every pair dotted."""
+    for i, ei in zip(ibasis.leaders, ibasis.elements):
+        for j, ej in zip(jbasis.leaders, jbasis.elements):
+            if dot(ei, ej):
+                return f"I[{i.oln}] vs J[{j.oln}]"
+    return None
+
+
+def eliminated_completion_rank(basis, added):
+    """Reference for check (vi): the rank by elimination."""
+    n_fact = factorial(basis.n)
+    span = basis.span()
+    for r in added:
+        vec = [0] * n_fact
+        vec[r] = 1
+        span.insert(vec)
+    return span.rank()
+
+
+def corrupted(basis, index, extra=None):
+    """`basis` with `extra` (default the identity permutation) added to
+    element `index`."""
+    elements = list(basis.elements)
+    if extra is None:
+        extra = AlgebraElement.one(basis.n, basis.field)
+    elements[index] = elements[index] + extra
+    return IdealBasis(basis.n, basis.k, basis.field, basis.kind, elements, basis.leaders)
+
+
+def checks_of(rep):
+    return {c.name: c for c in rep.checks}
+
+
+class TestAnnihilationCertificate:
+    """Checks (ii), (iii), (iv) and (vi) of `verify_row_main` are decided by
+    certificates; their verdicts, notes and witnesses must be those of the
+    exhaustive computations."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_verdicts_match_exhaustive_loops(self, field):
+        for n in range(1, 5):
+            for k in range(n + 2):
+                rep = verify_row_main(n, k, field)
+                checks = checks_of(rep)
+                ib, jb = build_I_basis(n, k, field), build_J_basis(n, k, field)
+                want = exhaustive_annihilation_witness(ib, jb)
+                assert want is None
+                assert checks["mutual_annihilation"].status == "pass"
+                assert checks["mutual_annihilation"].witness is None
+                assert exhaustive_orthogonality_witness(ib, jb) is None
+                assert checks["orthogonality"].status == "pass"
+                n_fact = factorial(n)
+                av = {v.rank() for v in ib.leaders}
+                irank = eliminated_completion_rank(ib, [r for r in range(n_fact) if r not in av])
+                jrank = eliminated_completion_rank(jb, av)
+                assert checks["quotient_bases"].note == (
+                    f"I-completion {irank}, J-completion {jrank}"
+                )
+                ispan, jspan = ib.span(), jb.span()
+                inter = span_intersection_dim(ispan, jspan)
+                assert checks["direct_sum"].note == (
+                    f"sum rank {ispan.rank() + jspan.rank() - inter}, intersection {inter}"
+                )
+                assert [c.name for c in rep.checks] == [
+                    "ranks",
+                    "mutual_annihilation",
+                    "orthogonality",
+                    "direct_sum",
+                    "sampled_row_sums_in_I",
+                    "sampled_generators_in_J",
+                    "quotient_bases",
+                    "antipode_stability",
+                    "single_generator",
+                ]
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_certificate_closes_on_true_bases(self, field):
+        # the fallback loop is not what makes the real cases pass
+        for n in range(2, 5):
+            for k in range(1, n):
+                ib = build_I_basis(n, k, field)
+                aX = antisymmetrizer(Subset(n, range(1, k + 2)), field)
+                assert ideals._annihilation_certificate(ib, ib.span(), aX), (n, k)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    @pytest.mark.parametrize("target", ["I", "I-extra", "aX", "J"])
+    def test_mutations_fail_with_exhaustive_witness(self, monkeypatch, field, target):
+        n, k = 4, 2
+        X = Subset(n, range(1, k + 2))
+        # 1 + s_1 is killed by a_X on both sides
+        s1 = AlgebraElement.from_perm(Permutation([2, 1, 3, 4]), field)
+        extra = AlgebraElement.one(n, field) + s1
+        assert mul(extra, antisymmetrizer(X, field)).is_zero()
+        assert mul(antisymmetrizer(X, field), extra).is_zero()
+        if target == "I":
+            # so only part (a) of the certificate can stop an I element
+            # plus 1 + s_1
+            build = ideals.build_I_basis
+            monkeypatch.setattr(
+                ideals, "build_I_basis", lambda *a, **kw: corrupted(build(*a, **kw), 5, extra)
+            )
+        elif target == "I-extra":
+            # I plus the line of 1 + s_1, which is stable under s_1 on both
+            # sides: only s_2 or s_3 in part (a) can stop it
+            build = ideals.build_I_basis
+
+            def with_extra(*a, **kw):
+                b = build(*a, **kw)
+                return IdealBasis(
+                    n, k, field, "I", [*b.elements, extra], [*b.leaders, Permutation([4, 3, 2, 1])]
+                )
+
+            monkeypatch.setattr(ideals, "build_I_basis", with_extra)
+            ib = with_extra(n, k, field)
+            assert not ideals._annihilation_certificate(ib, ib.span(), antisymmetrizer(X, field))
+        elif target == "J":
+            build = ideals.build_J_basis
+            monkeypatch.setattr(
+                ideals, "build_J_basis", lambda *a, **kw: corrupted(build(*a, **kw), 3)
+            )
+        else:
+            # symmetrizers in place of antisymmetrizers: J becomes the
+            # sign-twist of J_k, still generated by the one corrupted a_X,
+            # so only part (b) of the certificate can stop it
+            antisym = ideals.antisymmetrizer
+            monkeypatch.setattr(
+                ideals, "antisymmetrizer", lambda U, fld=QQ: sign_twist(antisym(U, fld))
+            )
+        rep = verify_row_main(n, k, field)
+        want = exhaustive_annihilation_witness(
+            ideals.build_I_basis(n, k, field), ideals.build_J_basis(n, k, field)
+        )
+        assert want is not None
+        check = checks_of(rep)["mutual_annihilation"]
+        assert check.status == "fail"
+        assert check.witness == want
+
+    def test_orthogonality_falls_back_to_dot_loop(self, monkeypatch):
+        # with a J element moved off J, (ii) fails, and (iii) reports the
+        # first pair whose dot product is nonzero
+        n, k = 4, 2
+        build = ideals.build_J_basis
+        monkeypatch.setattr(
+            ideals, "build_J_basis", lambda *a, **kw: corrupted(build(*a, **kw), 0)
+        )
+        rep = verify_row_main(n, k)
+        checks = checks_of(rep)
+        assert checks["mutual_annihilation"].status == "fail"
+        want = exhaustive_orthogonality_witness(build_I_basis(n, k), ideals.build_J_basis(n, k))
+        assert want is not None
+        assert checks["orthogonality"].status == "fail"
+        assert checks["orthogonality"].witness == want
+
+    def test_orthogonality_needs_antipode_stability(self, monkeypatch):
+        # x = (1 + s_1)·s_2·(1 − s_1) squares to zero, so I = J = span{x}
+        # annihilate each other, but S(x) is not a multiple of x and
+        # ⟨x, x⟩ = 4
+        n, k = 3, 1
+        s1 = AlgebraElement.from_perm(Permutation([2, 1, 3]))
+        s2 = AlgebraElement.from_perm(Permutation([1, 3, 2]))
+        one = AlgebraElement.one(n)
+        x = mul(mul(one + s1, s2), one - s1)
+        assert mul(x, x).is_zero() and dot(x, x) == 4
+        lead = Permutation([3, 2, 1])
+        for name, kind in (("build_I_basis", "I"), ("build_J_basis", "J")):
+            monkeypatch.setattr(
+                ideals, name, lambda *a, kind=kind, **kw: IdealBasis(n, k, QQ, kind, [x], [lead])
+            )
+        checks = checks_of(verify_row_main(n, k))
+        assert checks["mutual_annihilation"].status == "pass"
+        assert checks["antipode_stability"].status == "fail"
+        assert checks["orthogonality"].status == "fail"
+        assert checks["orthogonality"].witness == f"I[{lead.oln}] vs J[{lead.oln}]"
+
+    def test_completion_rank_falls_back_to_elimination(self):
+        n, k = 4, 2
+        ib = build_I_basis(n, k)
+        av = {v.rank() for v in ib.leaders}
+        others = [r for r in range(24) if r not in av]
+        assert ideals._completion_rank(ib, ib.span(), others) == 24
+        # leaders and added ranks short of all n! ranks
+        assert ideals._completion_rank(ib, ib.span(), others[1:]) == 23
+        # leader coefficient 2: not unitriangular, still full rank over Q
+        doubled = IdealBasis(n, k, QQ, "I", [2 * e for e in ib.elements], ib.leaders)
+        assert ideals._completion_rank(doubled, doubled.span(), others) == 24
+        # a zero element
+        zero = AlgebraElement.zero(n)
+        holed = IdealBasis(n, k, QQ, "I", [zero, *ib.elements[1:]], ib.leaders)
+        assert ideals._completion_rank(holed, holed.span(), others) == 23
+
+    def test_completion_rank_checks_support_side(self):
+        # u_1 + u_2 led at rank 1 has support above its leader, so for kind
+        # "I" the rows are not triangular, and they repeat a row led at 2
+        n = 3
+        u = [AlgebraElement.from_perm(w) for w in all_permutations(n)]
+        leaders = [Permutation([1, 3, 2]), Permutation([2, 1, 3])]
+        basis = IdealBasis(n, 1, QQ, "I", [u[1] + u[2], u[2] + u[1]], leaders)
+        assert ideals._completion_rank(basis, basis.span(), [0, 3, 4, 5]) == 5
+        # the same rows are triangular the other way round for kind "J",
+        # but the row led at 2 then has support below its leader
+        basis = IdealBasis(n, 1, QQ, "J", [u[1] + u[2], u[2] + u[1]], leaders)
+        assert ideals._completion_rank(basis, basis.span(), [0, 3, 4, 5]) == 5
 
 
 class TestComplements:

@@ -2,13 +2,15 @@
 verification."""
 
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from snalg.exactla import GF, QQ
 from snalg.groupalg import AlgebraElement, mul, sign_twist
-from snalg.ideals import build_I_basis
+import snalg.reps as reps
+from snalg.ideals import IdealBasis, build_I_basis, build_J_basis
 from snalg.perm import Permutation, all_permutations, compose
 from snalg.reps import (
     ModuleAction,
@@ -228,6 +230,35 @@ class TestApplyElement:
             m = apply_element(action, sign_twist(e))
             assert all(not any(row) for row in m.rows)
 
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_matches_sum_of_permutation_matrices(self, field):
+        rng = random.Random(5)
+        # the sign-twisted permutation module of S_3 carries −1 entries
+        twisted = ModuleAction(3, 3, [[1, 0, 2], [0, 2, 1]], [[-1] * 3, [-1] * 3])
+        for action in (place_action(4, 2), entry_action(4, 2), twisted):
+            n = action.n
+            perms = list(all_permutations(n))
+            terms = [
+                (rng.choice(perms), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                for _ in range(6)
+            ]
+            a = AlgebraElement(n, field, terms)
+            want = [[field.zero] * action.dim for _ in range(action.dim)]
+            for w, c in a.items():
+                m = action.matrix(w, field)
+                for i in range(action.dim):
+                    for j in range(action.dim):
+                        want[i][j] = field.normalize(want[i][j] + c * m.rows[i][j])
+            assert apply_element(action, a).rows == want
+
+    def test_entries_reduced_mod_p(self):
+        # S_3 acts trivially on V_1^{⊗3}, so 3 + 4·s_1 acts as 7
+        action = place_action(3, 1)
+        s1 = Permutation([2, 1, 3])
+        for field, want in ((QQ, 7), (GF(7), 0)):
+            a = AlgebraElement(3, field, [(Permutation([1, 2, 3]), 3), (s1, 4)])
+            assert apply_element(action, a).rows == [[want]]
+
 
 class TestAnnihilatorChecks:
     def test_V_small_cases(self):
@@ -295,3 +326,30 @@ class TestSpecht:
         names = {c.name for c in rep.checks}
         assert "J_kills_3" in names
         assert "I_kills_2+1" in names and "I_kills_1+1+1" in names
+
+
+def _plus_identity(basis, index):
+    """`basis` with the identity permutation added to element `index`."""
+    elements = list(basis.elements)
+    elements[index] = elements[index] + AlgebraElement.one(basis.n, basis.field)
+    return IdealBasis(basis.n, basis.k, basis.field, basis.kind, elements, basis.leaders)
+
+
+class TestAnnihilatorWitness:
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_V_reports_first_corrupted_J_element(self, monkeypatch, field):
+        monkeypatch.setattr(reps, "build_J_basis", lambda *a: _plus_identity(build_J_basis(*a), 2))
+        rep = annihilator_check_V(4, 2, field)
+        check = {c.name: c for c in rep.checks}["ideal_annihilates"]
+        leader = build_J_basis(4, 2, field).leaders[2]
+        assert check.status == "fail"
+        assert check.witness == f"J-basis element for {leader.oln}"
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_N_reports_first_corrupted_I_element(self, monkeypatch, field):
+        monkeypatch.setattr(reps, "build_I_basis", lambda *a: _plus_identity(build_I_basis(*a), 1))
+        rep = annihilator_check_N(4, 1, field)
+        check = {c.name: c for c in rep.checks}["ideal_annihilates"]
+        leader = build_I_basis(4, 2, field).leaders[1]
+        assert check.status == "fail"
+        assert check.witness == f"twisted I-basis element for {leader.oln}"
