@@ -452,10 +452,7 @@ def tuple_sum_span_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Rep
     n_fact = factorial(n)
     jk = n - k - 1
     if jk >= 0:
-        tj = sign_twisted(build_J_basis(n, jk, field, cap))
-        tjspan = SpanBasis(field, n_fact)
-        for e in tj.elements:
-            tjspan.insert(e.to_vector())
+        tjspan = sign_twisted(build_J_basis(n, jk, field, cap)).span()
     else:
         # J_m for negative m is the whole algebra: no avoidance constraint.
         tjspan = SpanBasis(field, n_fact)

@@ -99,10 +99,6 @@ class Permutation:
         """Image of i, both 1-indexed."""
         return self._img[i - 1] + 1
 
-    def image0(self, i: int) -> int:
-        """Image of i, both 0-indexed."""
-        return self._img[i]
-
     def rank(self) -> int:
         """Lexicographic rank among all permutations of [n] (0-based)."""
         img = self._img

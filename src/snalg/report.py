@@ -68,14 +68,6 @@ class Report:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if c.status == FAIL]
 
-    def assert_ok(self) -> "Report":
-        """Raise AssertionError on the first failing sub-check."""
-        for c in self.failures:
-            detail = f": {c.note}" if c.note else ""
-            witness = f" (witness: {c.witness})" if c.witness else ""
-            raise AssertionError(f"{self.name}/{c.name} failed{detail}{witness}")
-        return self
-
     def to_json_obj(self) -> dict:
         return {
             "report": self.name,

@@ -1,23 +1,23 @@
 """Partitions, tableau counts, tensor-module actions, and annihilator
 verification.
 
-The two module families: V_k^{⊗n} with S_n permuting tensor places, and
-N_n^{⊗k} with S_n acting diagonally on entries.  Exact rank computations
-identify the image of the group algebra in each representation and verify
-that the ideals J_k (place action) and the sign-twist of I_{n-k-1} (entry
-action) annihilate, with the expected image ranks given by avoider counts.
-Young-symmetrizer spans give the per-partition annihilation claims, and the
-avoider counting identities are checked against hook-length data.
+The two module families are permutation modules on words: V_k^{⊗n} has
+the words in [k]^n as basis, and w moves the letter at place i to place
+w(i); N_n^{⊗k} has the words in [n]^k, and w replaces each letter t by
+w(t).  Exact rank computations identify the image of the group algebra
+in each representation and verify that the ideals J_k (place action) and
+the sign-twist of I_{n-k-1} (entry action) annihilate, with the expected
+image ranks given by avoider counts.  Young-symmetrizer spans give the
+per-partition annihilation claims, and the avoider counting identities are
+checked against hook-length data.
 """
 
 from __future__ import annotations
 
-from array import array
-from fractions import Fraction
 from math import factorial
 
-from snalg.exactla import QQ, SpanBasis, DenseMatrix
-from snalg.groupalg import AlgebraElement, mul, permutation_basis, sign_twist
+from snalg.exactla import QQ, SpanBasis
+from snalg.groupalg import AlgebraElement, _scalar, mul, permutation_basis, sign_twist
 from snalg.ideals import build_I_basis, build_J_basis
 from snalg.perm import (
     Permutation,
@@ -202,128 +202,38 @@ def two_sided_count_check(n: int, k: int, l: int) -> bool:
     return both == expected
 
 
-def _adjacent_word(w: Permutation) -> list[int]:
-    """Adjacent transpositions s_{a1}, ..., s_{am} (1-indexed) whose index
-    maps, applied in list order, realize the action of w."""
-    img = list(w.oln)
-    word = []
-    i = 0
-    while i < len(img) - 1:
-        if img[i] > img[i + 1]:
-            img[i], img[i + 1] = img[i + 1], img[i]
-            word.append(i + 1)
-            if i:
-                i -= 1
-        else:
-            i += 1
-    return word
-
-
 class ModuleAction:
-    """An S_n action on a d-dimensional module, stored as the index maps
-    (with signs) of the n-1 adjacent transpositions and composed on demand
-    by factoring permutations into adjacent swaps.
+    """S_n permuting the basis e_0, ..., e_{d-1} of a d-dimensional module.
 
-    gen_maps[j][t] is the basis index of s_{j+1}·e_t and gen_signs[j][t]
-    the sign, so all matrices are exact 0/±1.  Coxeter relations are
-    verified at construction.
+    `images(w)` is the list whose t-th entry is the basis index of w·e_t,
+    so the matrix of w in column convention has a single 1 in column t, at
+    row images[t].  Each permutation's list is computed once and cached.
     """
 
-    __slots__ = ("n", "dim", "_gen_maps", "_gen_signs", "_cache")
+    __slots__ = ("n", "dim", "_images", "_cache")
 
-    def __init__(self, n: int, dim: int, gen_maps, gen_signs=None):
+    def __init__(self, n: int, dim: int, images):
         self.n = n
         self.dim = dim
-        self._gen_maps = [array("l", m) for m in gen_maps]
-        if gen_signs is None:
-            gen_signs = [[1] * dim for _ in range(max(n - 1, 0))]
-        self._gen_signs = [array("b", s) for s in gen_signs]
-        if len(self._gen_maps) != max(n - 1, 0) or len(self._gen_signs) != len(
-            self._gen_maps
-        ):
-            raise ValueError("need one generator per adjacent transposition")
-        for m, s in zip(self._gen_maps, self._gen_signs):
-            if len(m) != dim or len(s) != dim:
-                raise ValueError("generator size mismatch")
-            if sorted(m) != list(range(dim)):
-                raise ValueError("generator map is not a bijection")
-            if any(x not in (1, -1) for x in s):
-                raise ValueError("signs must be ±1")
-        self._cache: dict[int, tuple[list, list]] = {}
-        self._verify_relations()
+        self._images = images
+        self._cache: dict[int, list[int]] = {}
 
-    def _compose(self, a, b):
-        """Index map and signs of (a after b)."""
-        amap, asgn = a
-        bmap, bsgn = b
-        return (
-            [amap[x] for x in bmap],
-            [bsgn[t] * asgn[bmap[t]] for t in range(self.dim)],
-        )
-
-    def _gen(self, j: int):
-        return (self._gen_maps[j - 1], self._gen_signs[j - 1])
-
-    def _verify_relations(self) -> None:
-        ident = (list(range(self.dim)), [1] * self.dim)
-
-        def eq(a, b):
-            return list(a[0]) == list(b[0]) and list(a[1]) == list(b[1])
-
-        for j in range(1, self.n):
-            g = self._gen(j)
-            if not eq(self._compose(g, g), ident):
-                raise ValueError(f"generator {j} is not an involution")
-        for j in range(1, self.n - 1):
-            g, h = self._gen(j), self._gen(j + 1)
-            if not eq(
-                self._compose(g, self._compose(h, g)),
-                self._compose(h, self._compose(g, h)),
-            ):
-                raise ValueError(f"braid relation fails at {j}")
-        for j in range(1, self.n):
-            for i in range(j + 2, self.n):
-                g, h = self._gen(j), self._gen(i)
-                if not eq(self._compose(g, h), self._compose(h, g)):
-                    raise ValueError(f"commutation fails at ({j}, {i})")
-
-    def index_action(self, w: Permutation):
-        """(images, signs) for the action of w on basis indices."""
+    def index_action(self, w: Permutation) -> list[int]:
+        """The basis index of w·e_t for each t."""
         if w.n != self.n:
             raise ValueError("permutation size mismatch")
         r = w.rank()
         hit = self._cache.get(r)
-        if hit is not None:
-            return hit
-        total = list(range(self.dim))
-        signs = [1] * self.dim
-        for a in _adjacent_word(w):
-            gmap, gsgn = self._gen(a)
-            signs = [signs[t] * gsgn[total[t]] for t in range(self.dim)]
-            total = [gmap[x] for x in total]
-        result = (total, signs)
-        self._cache[r] = result
-        return result
+        if hit is None:
+            hit = self._cache[r] = self._images(w)
+        return hit
 
-    def matrix(self, w: Permutation, field=QQ) -> DenseMatrix:
-        """The 0/±1 matrix of w in column convention: M e_t = ±e_{w·t}."""
-        images, signs = self.index_action(w)
-        one = field.one
-        minus = field.normalize(-1)
-        rows = [[field.zero] * self.dim for _ in range(self.dim)]
-        for t in range(self.dim):
-            rows[images[t]][t] = one if signs[t] > 0 else minus
-        return DenseMatrix(field, rows)
-
-    def vectorized(self, w: Permutation, field=QQ) -> list[int]:
-        """Row-major flattening of matrix(w), built sparsely as ints: 0, 1
-        and −1 (p − 1 over F_p), which `SpanBasis` takes as is."""
-        images, signs = self.index_action(w)
-        p = field.characteristic
-        minus = p - 1 if p else -1
-        vec = [0] * (self.dim * self.dim)
-        for t in range(self.dim):
-            vec[images[t] * self.dim + t] = 1 if signs[t] > 0 else minus
+    def vectorized(self, w: Permutation) -> list[int]:
+        """Row-major flattening of the 0/1 matrix of w, as ints."""
+        d = self.dim
+        vec = [0] * (d * d)
+        for t, i in enumerate(self.index_action(w)):
+            vec[i * d + t] = 1
         return vec
 
     def __repr__(self) -> str:
@@ -336,47 +246,41 @@ def _check_dim(dim: int) -> None:
 
 
 def place_action(n: int, k: int) -> ModuleAction:
-    """S_n permuting the n tensor places of V_k^{⊗n}; basis indexed by
-    words in [k]^n (most significant digit = place 1)."""
+    """S_n permuting the n tensor places of V_k^{⊗n}.  The basis is the
+    words in [k]^n, place 1 most significant (`itertools.product` order),
+    and w moves the letter at place i to place w(i)."""
     if k < 1:
         raise ValueError("need k >= 1")
     dim = k**n
     _check_dim(dim)
-    powers = [k ** (n - 1 - i) for i in range(n)]
-    gen_maps = []
-    for j in range(n - 1):
-        m = array("l", range(dim))
-        pj, pj1 = powers[j], powers[j + 1]
-        for idx in range(dim):
-            dj = idx // pj % k
-            dj1 = idx // pj1 % k
-            m[idx] = idx + (dj1 - dj) * pj + (dj - dj1) * pj1
-        gen_maps.append(m)
-    return ModuleAction(n, dim, gen_maps)
+
+    def images(w: Permutation) -> list[int]:
+        out = [0]
+        for v in w.oln:
+            step = k ** (n - v)
+            out = [a + x * step for a in out for x in range(k)]
+        return out
+
+    return ModuleAction(n, dim, images)
 
 
 def entry_action(n: int, k: int) -> ModuleAction:
     """S_n acting diagonally on the entries of words in [n]^k (the basis
-    of N_n^{⊗k}): σ·e_{(t₁,…,t_k)} = e_{(σ(t₁),…,σ(t_k))}."""
+    of N_n^{⊗k}, entry 1 most significant): w·e_{(t₁,…,t_k)} =
+    e_{(w(t₁),…,w(t_k))}."""
     if k < 0:
         raise ValueError("need k >= 0")
     dim = n**k
     _check_dim(dim)
-    powers = [n ** (k - 1 - i) for i in range(k)]
-    gen_maps = []
-    for j in range(n - 1):
-        m = array("l", range(dim))
-        for idx in range(dim):
-            new = idx
-            for p in powers:
-                d = idx // p % n
-                if d == j:
-                    new += p
-                elif d == j + 1:
-                    new -= p
-            m[idx] = new
-        gen_maps.append(m)
-    return ModuleAction(n, dim, gen_maps)
+
+    def images(w: Permutation) -> list[int]:
+        letters = [v - 1 for v in w.oln]
+        out = [0]
+        for _ in range(k):
+            out = [a * n + v for a in out for v in letters]
+        return out
+
+    return ModuleAction(n, dim, images)
 
 
 def _entry_sums(action: ModuleAction, a: AlgebraElement) -> dict[int, int]:
@@ -389,27 +293,26 @@ def _entry_sums(action: ModuleAction, a: AlgebraElement) -> dict[int, int]:
     d = action.dim
     sums: dict[int, int] = {}
     for r, c in a._terms.items():
-        images, signs = action.index_action(perms[r])
-        for t in range(d):
-            key = images[t] * d + t
-            sums[key] = sums.get(key, 0) + (c if signs[t] > 0 else -c)
+        for t, i in enumerate(action.index_action(perms[r])):
+            key = i * d + t
+            sums[key] = sums.get(key, 0) + c
     p = a.field.characteristic
     return {key: x % p for key, x in sums.items()} if p else sums
 
 
-def apply_element(action: ModuleAction, a: AlgebraElement) -> DenseMatrix:
-    """The matrix Σ_w coeff_a(w)·ρ(w)."""
+def apply_element(action: ModuleAction, a: AlgebraElement) -> list[list]:
+    """The matrix Σ_w coeff_a(w)·ρ(w), as rows of field scalars."""
     d = action.dim
-    rows = [[0] * d for _ in range(d)]
+    rows = [[a.field.zero] * d for _ in range(d)]
     for key, x in _entry_sums(action, a).items():
-        rows[key // d][key % d] = Fraction(x, a._den)
-    return DenseMatrix(a.field, rows)
+        rows[key // d][key % d] = _scalar(a.field, x, a._den)
+    return rows
 
 
 def _image_rank(action: ModuleAction, perms, field) -> int:
     span = SpanBasis(field, action.dim * action.dim)
     for w in perms:
-        span.insert(action.vectorized(w, field))
+        span.insert(action.vectorized(w))
     return span.rank()
 
 
@@ -478,15 +381,16 @@ def annihilator_check_N(n: int, k: int, field=QQ, cap: int = ANNIHILATOR_CAP) ->
 
     avoiders = enumerate_av(n, n - k) if n - k >= 1 else []
     expected = factorial(n) - len(avoiders)
-    full_rank = _image_rank(action, permutation_basis(n), field)
+    perms = permutation_basis(n)
+    full_rank = _image_rank(action, perms, field)
     rep.data["image_rank"] = full_rank
     rep.add("image_rank", full_rank == expected, note=f"{full_rank} (expect {expected})")
 
     avoider_ranks = {v.rank() for v in avoiders}
-    non_avoiders = [w for w in permutation_basis(n) if w.rank() not in avoider_ranks]
+    non_avoiders = [w for r, w in enumerate(perms) if r not in avoider_ranks]
     na_rank = _image_rank(action, non_avoiders, field)
     primes = {v.rank() for v in enumerate_av_prime(n, n - k)} if n - k >= 1 else set()
-    non_primes = [w for w in permutation_basis(n) if w.rank() not in primes]
+    non_primes = [w for r, w in enumerate(perms) if r not in primes]
     np_rank = _image_rank(action, non_primes, field)
     rep.add(
         "non_avoider_rows_span",

@@ -3,6 +3,7 @@ verification."""
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -11,9 +12,8 @@ from snalg.exactla import GF, QQ
 from snalg.groupalg import AlgebraElement, mul, sign_twist
 import snalg.reps as reps
 from snalg.ideals import IdealBasis, build_I_basis, build_J_basis
-from snalg.perm import Permutation, all_permutations, compose
+from snalg.perm import Permutation, all_permutations, compose, inverse
 from snalg.reps import (
-    ModuleAction,
     Partition,
     annihilator_check_N,
     annihilator_check_V,
@@ -135,24 +135,46 @@ class TestCountIdentities:
         assert both == expected
 
 
+def _place_images(n, k, perms):
+    """Brute-force place action, one image list per w: the letter at place
+    i moves to place w(i), so place j of the image reads place w⁻¹(j)."""
+    words = list(product(range(k), repeat=n))
+    index = {x: r for r, x in enumerate(words)}
+    out = []
+    for w in perms:
+        source = [inverse(w)(j) - 1 for j in range(1, n + 1)]
+        out.append([index[tuple(map(x.__getitem__, source))] for x in words])
+    return out
+
+
+def _entry_images(n, k, perms):
+    """Brute-force entry action, one image list per w: each letter t
+    becomes w(t)."""
+    words = list(product(range(1, n + 1), repeat=k))
+    index = {x: r for r, x in enumerate(words)}
+    out = []
+    for w in perms:
+        image = (None,) + w.oln
+        out.append([index[tuple(map(image.__getitem__, x))] for x in words])
+    return out
+
+
 class TestModuleActions:
     def test_entry_action_single_copy_is_natural(self):
         action = entry_action(4, 1)
         for w in all_permutations(4):
-            images, signs = action.index_action(w)
-            assert signs == [1] * 4
-            assert images == [w(i) - 1 for i in range(1, 5)]
+            assert action.index_action(w) == [w(i) - 1 for i in range(1, 5)]
 
     def test_entry_action_explicit(self):
         action = entry_action(3, 2)
         t = Permutation([2, 1, 3])
-        images, _ = action.index_action(t)
+        images = action.index_action(t)
         # e_(1,3) has index 0*3+2 = 2 and maps to e_(2,3) with index 5.
         assert images[2] == 5
 
     def test_place_action_swap(self):
         action = place_action(2, 2)
-        images, _ = action.index_action(Permutation([2, 1]))
+        images = action.index_action(Permutation([2, 1]))
         # Basis order: (1,1), (1,2), (2,1), (2,2).
         assert images == [0, 2, 1, 3]
 
@@ -160,48 +182,50 @@ class TestModuleActions:
         action = place_action(3, 1)
         assert action.dim == 1
         for w in all_permutations(3):
-            assert action.index_action(w) == ([0], [1])
+            assert action.index_action(w) == [0]
 
-    def test_homomorphism_sampled(self):
-        rng = random.Random(3)
-        for action in (place_action(4, 2), entry_action(4, 2)):
-            perms = list(all_permutations(4))
-            for _ in range(20):
-                u = perms[rng.randrange(24)]
-                v = perms[rng.randrange(24)]
-                iu, _ = action.index_action(u)
-                iv, _ = action.index_action(v)
-                iuv, _ = action.index_action(compose(u, v))
-                assert [iu[x] for x in iv] == iuv
+    def test_actions_match_brute_force_word_maps(self):
+        # every k with dim <= MODULE_DIM_CAP for n >= 2 (k <= 64 for the
+        # place action, k <= 12 for the entry action); n = 1 up to those k
+        for n in range(1, 6):
+            perms = list(all_permutations(n))
+            for k in range(1, 65):
+                if k**n <= reps.MODULE_DIM_CAP:
+                    action = place_action(n, k)
+                    want = _place_images(n, k, perms)
+                    assert [action.index_action(w) for w in perms] == want, (n, k)
+            for k in range(0, 13):
+                if n**k <= reps.MODULE_DIM_CAP:
+                    action = entry_action(n, k)
+                    want = _entry_images(n, k, perms)
+                    assert [action.index_action(w) for w in perms] == want, (n, k)
+
+    def test_homomorphism_exhaustive(self):
+        for n in range(1, 5):
+            perms = list(all_permutations(n))
+            for action in (place_action(n, 2), place_action(n, 3), entry_action(n, 2)):
+                for u in perms:
+                    iu = action.index_action(u)
+                    for v in perms:
+                        iuv = action.index_action(compose(u, v))
+                        assert [iu[x] for x in action.index_action(v)] == iuv
 
     def test_matrix_convention(self):
         action = entry_action(3, 1)
         w = Permutation([2, 3, 1])
-        m = action.matrix(w)
+        vec = action.vectorized(w)
         for j in range(3):
-            col = [m.rows[i][j] for i in range(3)]
-            assert col[w(j + 1) - 1] == QQ.one
+            col = [vec[i * 3 + j] for i in range(3)]
+            assert col[w(j + 1) - 1] == 1
             assert sum(1 for x in col if x) == 1
 
     def test_vectorized_is_int_flattened_matrix(self):
-        # the sign-twisted permutation module: odd w give −1 entries,
-        # p − 1 over F_p
-        action = ModuleAction(3, 3, [[1, 0, 2], [0, 2, 1]], [[-1] * 3, [-1] * 3])
-        for field in (QQ, GF(5)):
+        for action in (place_action(3, 2), entry_action(3, 2)):
             for w in all_permutations(3):
-                vec = action.vectorized(w, field)
+                vec = action.vectorized(w)
                 assert all(type(x) is int for x in vec)
-                flat = [x for row in action.matrix(w, field).rows for x in row]
-                assert vec == flat
-                assert (field.normalize(-1) in vec) == (-1 in action.index_action(w)[1])
-
-    def test_invalid_generators_rejected(self):
-        with pytest.raises(ValueError):
-            ModuleAction(2, 2, [[0, 0]])
-        with pytest.raises(ValueError):
-            ModuleAction(2, 2, [[1, 0]], [[1, 2]])
-        with pytest.raises(ValueError):
-            ModuleAction(3, 2, [[1, 0]])
+                m = apply_element(action, AlgebraElement.from_perm(w))
+                assert vec == [x for row in m for x in row]
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
@@ -212,7 +236,7 @@ class TestApplyElement:
     def test_identity_element(self):
         action = place_action(3, 2)
         m = apply_element(action, AlgebraElement.one(3))
-        assert m.rows == [
+        assert m == [
             [QQ.one if i == j else QQ.zero for j in range(8)] for i in range(8)
         ]
 
@@ -221,21 +245,19 @@ class TestApplyElement:
             action = place_action(n, k)
             U = Subset(n, range(1, k + 2))
             m = apply_element(action, antisymmetrizer(U))
-            assert all(not any(row) for row in m.rows)
+            assert all(not any(row) for row in m)
 
     def test_twisted_I_kills_entry_module(self):
         n, k = 4, 2
         action = entry_action(n, k)
         for e in build_I_basis(n, n - k - 1).elements:
             m = apply_element(action, sign_twist(e))
-            assert all(not any(row) for row in m.rows)
+            assert all(not any(row) for row in m)
 
     @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
     def test_matches_sum_of_permutation_matrices(self, field):
         rng = random.Random(5)
-        # the sign-twisted permutation module of S_3 carries −1 entries
-        twisted = ModuleAction(3, 3, [[1, 0, 2], [0, 2, 1]], [[-1] * 3, [-1] * 3])
-        for action in (place_action(4, 2), entry_action(4, 2), twisted):
+        for action in (place_action(4, 2), entry_action(4, 2)):
             n = action.n
             perms = list(all_permutations(n))
             terms = [
@@ -245,11 +267,11 @@ class TestApplyElement:
             a = AlgebraElement(n, field, terms)
             want = [[field.zero] * action.dim for _ in range(action.dim)]
             for w, c in a.items():
-                m = action.matrix(w, field)
-                for i in range(action.dim):
-                    for j in range(action.dim):
-                        want[i][j] = field.normalize(want[i][j] + c * m.rows[i][j])
-            assert apply_element(action, a).rows == want
+                for t, i in enumerate(action.index_action(w)):
+                    want[i][t] = field.normalize(want[i][t] + c)
+            got = apply_element(action, a)
+            assert got == want
+            assert all(type(x) is type(field.zero) for row in got for x in row)
 
     def test_entries_reduced_mod_p(self):
         # S_3 acts trivially on V_1^{⊗3}, so 3 + 4·s_1 acts as 7
@@ -257,7 +279,7 @@ class TestApplyElement:
         s1 = Permutation([2, 1, 3])
         for field, want in ((QQ, 7), (GF(7), 0)):
             a = AlgebraElement(3, field, [(Permutation([1, 2, 3]), 3), (s1, 4)])
-            assert apply_element(action, a).rows == [[want]]
+            assert apply_element(action, a) == [[want]]
 
 
 class TestAnnihilatorChecks:
