@@ -44,12 +44,12 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from snalg.exactla import QQ, SpanBasis
 from snalg.groupalg import AlgebraElement, _canonical, mul as algebra_mul
 from snalg.report import Report
-from snalg.rook import Subset, delta, nabla, omega, subsets_of_size
+from snalg.rook import Subset, _add_board, delta, omega, subsets_of_size
 
 __all__ = [
     "DALG_CAP",
@@ -331,14 +331,11 @@ def to_group_algebra(x: DElement) -> AlgebraElement:
     pairs, _ = _basis_data(n)
     # over F_p the coefficients are ints, of denominator 1
     den = lcm(*(c.denominator for c in x._coeffs.values()))
-    acc: dict[int, int] = {}
+    acc = [0] * factorial(n)
     for idx, c in x._coeffs.items():
-        c = c.numerator * (den // c.denominator)
         b, a = pairs[idx]
-        # every term of a rook sum is 1
-        for r in nabla(Subset(n, mask=b), Subset(n, mask=a), field)._terms:
-            acc[r] = acc.get(r, 0) + c
-    return _canonical(n, field, acc.items(), den)
+        _add_board(acc, Subset(n, mask=b), Subset(n, mask=a), c.numerator * (den // c.denominator))
+    return _canonical(n, field, enumerate(acc), den)
 
 
 def _triple_rows(n: int, c: int, b: int, f: int, m1: int, m2: int):

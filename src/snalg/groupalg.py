@@ -21,7 +21,9 @@ Y.  It keeps the partition of positions into those classes, and on the
 table path a product x * (rook sum) runs one coset at a time: x against one
 representative per coset, then each coset's sum written over the coset
 through a cached table of coset ids.  The work falls from
-|x| * |rook sum| to |x| * |rook sum| / |Y| plus n!.
+|x| * |rook sum| to |x| * |rook sum| / |Y| plus n!.  The same table lists
+the terms of a board for n <= 6, as the cosets whose block images fit in
+its rows; beyond the table the enumerator places rooks depth-first.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ _image_bytes: dict[int, list[bytes]] = {}
 _mul_tables: dict[int, list[array]] = {}
 _inv_tables: dict[int, array] = {}
 _sign_tables: dict[int, array] = {}
-_coset_tables: dict[bytes, array] = {}
+_coset_tables: dict[bytes, tuple[array, list[int], list[int]]] = {}
 
 
 def permutation_basis(n: int) -> list[Permutation]:
@@ -122,18 +124,25 @@ def _sign_table(n: int) -> array:
     return _sign_tables[n]
 
 
-def _coset_ids(n: int, blocks: bytes) -> array:
-    """ids[r] = the number of the left coset w Y of the permutation w of lex
-    rank r, where Y permutes the positions within each block (position i is
-    in block blocks[i]).  w y has the same block of preimages at every
-    column as w, so the coset key is the inverse image bytes relabelled by
-    block; cosets are numbered in the order of their smallest ranks."""
+def _coset_ids(n: int, blocks: bytes) -> tuple[array, list[int], list[int]]:
+    """(ids, images, members) of the left cosets w Y, Y permuting the
+    positions within each block (position i in block blocks[i] < 8), numbered
+    by smallest rank: ids[r] is the coset of rank r, byte j of images[c] has
+    the bit 1 << b when coset c sends block b to column j, and members holds
+    the ranks coset by coset, ascending.  The inverse image bytes with each
+    position written as its block's bit are the coset key, since w y has w's
+    block of preimages at each column; read as an int, the key is the image.
+    members is a list so that the rank tuples cut from it share its ints.
+    Users: `mul`, one coset at a time, and `_board_ranks`."""
     if blocks not in _coset_tables:
         imgs = _images(n)
-        label = blocks + bytes(256 - n)
+        label = bytes(1 << b for b in blocks) + bytes(256 - n)
         keys = (imgs[r].translate(label) for r in _inv_table(n))
         index: dict[bytes, int] = {}
-        _coset_tables[blocks] = array("H", (index.setdefault(k, len(index)) for k in keys))
+        ids = array("H", (index.setdefault(k, len(index)) for k in keys))
+        members = sorted(range(len(ids)), key=ids.__getitem__)
+        images = [int.from_bytes(key, "little") for key in index]
+        _coset_tables[blocks] = ids, images, members
     return _coset_tables[blocks]
 
 
@@ -365,11 +374,11 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if n <= MUL_TABLE_MAX_N:
         mt = _mul_table(n)
         if b._blocks is not None:
-            ids = _coset_ids(n, b._blocks)
+            ids, images, _ = _coset_ids(n, b._blocks)
             reps: dict[int, tuple[int, int]] = {}
             for rv, cb in bterms.items():
                 reps.setdefault(ids[rv], (rv, cb))
-            sums = [0] * (max(ids) + 1)
+            sums = [0] * len(images)
             for ru, ca in aterms.items():
                 row = mt[ru]
                 for rv, cb in reps.values():
@@ -425,8 +434,7 @@ def dot(a: AlgebraElement, b: AlgebraElement):
     return _scalar(a.field, acc, a._den * b._den)
 
 
-@lru_cache(maxsize=None)
-def _board_ranks(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+def _board_dfs(n: int, rows: tuple[int, ...]) -> list[int]:
     """Lex ranks, ascending, of the w in S_n with w(i + 1) - 1 in the column
     bitmask rows[i] for every position i.  Rooks go down depth-first, each
     row trying its columns in increasing order, and the rank is summed from
@@ -446,7 +454,34 @@ def _board_ranks(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
             options ^= col
 
     place(0, (1 << n) - 1, 0)
-    return tuple(ranks)
+    return ranks
+
+
+def _row_blocks(rows: tuple[int, ...]) -> bytes:
+    """The label of each row among the distinct rows, by first appearance."""
+    labels: dict[int, int] = {}
+    return bytes(labels.setdefault(mask, len(labels)) for mask in rows)
+
+
+@lru_cache(maxsize=None)
+def _board_ranks(n: int, rows: tuple[int, ...], blocks: bytes) -> tuple[int, ...]:
+    """Lex ranks, ascending, of the w in S_n with w(i + 1) - 1 in the column
+    bitmask rows[i] for every i, given blocks = `_row_blocks(rows)`.  Up to
+    MUL_TABLE_MAX_N they are the members of the cosets of the Young subgroup
+    of equal rows whose images fit in the rows; beyond, the depth-first
+    search finds them."""
+    if n > MUL_TABLE_MAX_N:
+        return tuple(_board_dfs(n, rows))
+    _, images, members = _coset_ids(n, blocks)
+    # every bit but 1 << b in byte j for the columns j of block b's row
+    forbidden = -1
+    for b, mask in dict(zip(blocks, rows)).items():
+        forbidden ^= int.from_bytes(bytes(mask >> j & 1 for j in range(n)), "little") << b
+    size = len(members) // len(images)
+    kept = [c * size for c, image in enumerate(images) if not image & forbidden]
+    if len(kept) == 1:  # one coset, as every ∇, row and tuple sum is: already ascending
+        return tuple(members[kept[0] : kept[0] + size])
+    return tuple(sorted(r for c in kept for r in members[c : c + size]))
 
 
 def _rook_sum(n: int, rows: tuple[int, ...], field) -> AlgebraElement:
@@ -454,10 +489,9 @@ def _rook_sum(n: int, rows: tuple[int, ...], field) -> AlgebraElement:
     Swapping two positions of equal rows maps the board onto itself, so the
     element keeps the classes of equal rows, labelled by first appearance,
     as its right Young subgroup; with no equal rows it keeps none."""
-    a = AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows), 1))
-    labels: dict[int, int] = {}
-    blocks = bytes(labels.setdefault(mask, len(labels)) for mask in rows)
-    if len(labels) < n:
+    blocks = _row_blocks(rows)
+    a = AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows, blocks), 1))
+    if len(set(blocks)) < n:
         a._blocks = blocks
     return a
 

@@ -25,8 +25,10 @@ from snalg.exactla import QQ
 from snalg.groupalg import (
     AlgebraElement,
     MinimalPolynomial,
+    _board_ranks,
     _canonical,
     _rook_sum,
+    _row_blocks,
     element_min_poly,
     mul,
     scale,
@@ -163,14 +165,28 @@ def _check_same_n(*subsets: Subset) -> int:
     return ns.pop()
 
 
+def _rows(B: Subset, A: Subset, tilde: bool) -> tuple[int, ...]:
+    """The board of nabla(B, A), or of nabla_tilde(B, A) when tilde: the
+    columns of B at the positions of A, and every other position the
+    columns outside B, or all columns."""
+    n, full = B.n, (1 << B.n) - 1
+    rest = full if tilde else full ^ B.mask
+    return tuple(B.mask if A.mask >> i & 1 else rest for i in range(n))
+
+
+def _add_board(acc: list[int], B: Subset, A: Subset, coeff: int, tilde: bool = False) -> None:
+    """Add coeff to acc at every term of nabla(B, A), or of nabla_tilde."""
+    rows = _rows(B, A, tilde)
+    for r in _board_ranks(B.n, rows, _row_blocks(rows)):
+        acc[r] += coeff
+
+
 def nabla(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
     """The rook sum of all w with w(A) = B; zero when |A| != |B|."""
     n = _check_same_n(B, A)
     if A.size != B.size:
         return AlgebraElement.zero(n, field)
-    rest = B.complement().mask
-    rows = tuple(B.mask if A.mask >> i & 1 else rest for i in range(n))
-    return _rook_sum(n, rows, field)
+    return _rook_sum(n, _rows(B, A, False), field)
 
 
 def nabla_tilde(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
@@ -178,9 +194,7 @@ def nabla_tilde(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
     n = _check_same_n(B, A)
     if A.size > B.size:
         return AlgebraElement.zero(n, field)
-    full = (1 << n) - 1
-    rows = tuple(B.mask if A.mask >> i & 1 else full for i in range(n))
-    return _rook_sum(n, rows, field)
+    return _rook_sum(n, _rows(B, A, True), field)
 
 
 def omega(B: Subset, C: Subset) -> int:
@@ -229,13 +243,11 @@ def product_rule_a(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> Alge
     n = _check_product_sizes(D, C, B, A)
     target = (B.mask & C.mask).bit_count()
     w = omega(B, C)
-    acc: dict[int, int] = {}
+    acc = [0] * factorial(n)
     for U in subsets_of_size(n, A.size):
         if (U.mask & D.mask).bit_count() == target:
-            # every term of a rook sum is 1
-            for r in nabla(U, A, field)._terms:
-                acc[r] = acc.get(r, 0) + w
-    return _canonical(n, field, acc.items())
+            _add_board(acc, U, A, w)
+    return _canonical(n, field, enumerate(acc))
 
 
 def product_rule_b(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> AlgebraElement:
@@ -248,7 +260,7 @@ def product_rule_b(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> Alge
         )
     j0 = (B.mask & C.mask).bit_count()
     w = omega(B, C)
-    acc: dict[int, int] = {}
+    acc = [0] * factorial(n)
     for size in range(min(D.size, A.size) + 1):
         coeff = w * (-1) ** (size - j0) * comb(size, j0)
         if not field.from_int(coeff):
@@ -256,28 +268,24 @@ def product_rule_b(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> Alge
         for um in combinations(D.members, size):
             U = Subset(n, um)
             for vm in combinations(A.members, size):
-                # every term of a rook sum is 1
-                for r in nabla(U, Subset(n, vm), field)._terms:
-                    acc[r] = acc.get(r, 0) + coeff
-    return _canonical(n, field, acc.items())
+                _add_board(acc, U, Subset(n, vm), coeff)
+    return _canonical(n, field, enumerate(acc))
 
 
 def product_rule_c(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> AlgebraElement:
     """omega(B, C) times the signed binomial combination of nabla_tilde(D, V)
-    over V ⊆ A."""
+    over V ⊆ A; the terms with |V| > |D| are zero."""
     n = _check_product_sizes(D, C, B, A)
     j0 = (B.mask & C.mask).bit_count()
     w = omega(B, C)
-    acc: dict[int, int] = {}
-    for size in range(A.size + 1):
+    acc = [0] * factorial(n)
+    for size in range(min(A.size, D.size) + 1):
         coeff = w * (-1) ** (size - j0) * comb(size, j0)
         if not field.from_int(coeff):
             continue
         for vm in combinations(A.members, size):
-            # every term of a rook sum is 1
-            for r in nabla_tilde(D, Subset(n, vm), field)._terms:
-                acc[r] = acc.get(r, 0) + coeff
-    return _canonical(n, field, acc.items())
+            _add_board(acc, D, Subset(n, vm), coeff, tilde=True)
+    return _canonical(n, field, enumerate(acc))
 
 
 def product_rule_fuzz(n: int, trials: int = 200, seed: int = 0, field=QQ) -> "Report":

@@ -11,8 +11,8 @@ of blocks.
 
 Each of these sums is a rook sum: it turns its constraints into a board,
 the columns each position may take, and reads its terms from the rook
-board enumerator of `snalg.groupalg`, which places rooks position by
-position instead of filtering all of S_n.
+board enumerator of `snalg.groupalg`, which lists the board's cosets of
+its Young subgroup instead of filtering all of S_n.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from snalg.exactla import QQ
-from snalg.groupalg import AlgebraElement, _board_ranks, _canonical, _rook_sum, _sign_table
+from snalg.groupalg import (
+    AlgebraElement, _board_ranks, _canonical, _rook_sum, _row_blocks, _sign_table,
+)
 from snalg.perm import Permutation
 from snalg.rook import Subset
 
@@ -124,7 +126,7 @@ def antisymmetrizer(U: Subset, field=QQ) -> AlgebraElement:
     n = U.n
     rows = tuple(U.mask if U.mask >> i & 1 else 1 << i for i in range(n))
     signs = _sign_table(n)
-    return _canonical(n, field, ((r, signs[r]) for r in _board_ranks(n, rows)))
+    return _canonical(n, field, ((r, signs[r]) for r in _board_ranks(n, rows, _row_blocks(rows))))
 
 
 def tuple_sum(b: Sequence[int], a: Sequence[int], n: int, field=QQ) -> AlgebraElement:

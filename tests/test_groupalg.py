@@ -14,9 +14,11 @@ from snalg.groupalg import (
     MUL_TABLE_MAX_N,
     AlgebraElement,
     MinimalPolynomial,
+    _board_dfs,
     _board_ranks,
     _coset_ids,
     _mul_table,
+    _row_blocks,
     add,
     antipode,
     board_sum,
@@ -286,13 +288,20 @@ def test_coset_tables_are_young_subgroup_cosets():
         # every partition up to n = 5, 15 of the 203 at n = 6
         for labels in partitions if n < 6 else rng.sample(partitions, 15):
             blocks = bytes(labels)
-            ids = _coset_ids(n, blocks)
+            ids, images, members = _coset_ids(n, blocks)
             order = 1
             for x in set(labels):
                 order *= factorial(labels.count(x))
             sizes = Counter(ids)
             assert set(sizes.values()) == {order}
             assert sorted(sizes) == list(range(factorial(n) // order))
+            assert len(images) == len(sizes)
+            for c in range(len(images)):
+                coset = members[c * order : (c + 1) * order]
+                assert list(coset) == [r for r, i in enumerate(ids) if i == c]
+                # byte j of the image holds the block sent to column j
+                w = perms[coset[0]]
+                assert images[c] == sum(1 << labels[i] << 8 * (w(i + 1) - 1) for i in range(n))
             # the sum of Y is the board letting each position take the
             # positions of its block
             young = board_sum(n, [
@@ -429,22 +438,39 @@ def test_board_sum_matches_filter_on_random_boards():
 
 
 def test_board_ranks_are_sorted_lex_ranks():
+    # n <= MUL_TABLE_MAX_N reads coset tables, n = 7 runs the depth-first search
     rng = random.Random(152)
-    for n in range(1, 6):
+    for n in range(1, MUL_TABLE_MAX_N + 2):
         full = (1 << n) - 1
         boards = [(full,) * n] + [
             tuple(rng.randrange(1 << n) | rng.choice((0, full)) for _ in range(n))
-            for _ in range(20)
+            for _ in range(20 if n < 7 else 3)
         ]
+        # repeated rows drawn from 2 or 3 distinct masks, one of them empty
+        for distinct in (2, 3):
+            for _ in range(8 if n < 7 else 2):
+                masks = [rng.randrange(1, 1 << n) for _ in range(distinct - 1)]
+                masks.append(rng.choice((0, full, masks[0] | rng.randrange(1 << n))))
+                boards.append(tuple(rng.choice(masks) for _ in range(n)))
         for rows in boards:
-            ranks = _board_ranks(n, rows)
+            ranks = _board_ranks(n, rows, _row_blocks(rows))
             want = [
                 Permutation(w).rank()
                 for w in itertools.permutations(range(1, n + 1))
                 if all(rows[i] >> (w[i] - 1) & 1 for i in range(n))
             ]
             assert list(ranks) == sorted(want)
-    assert _board_ranks(4, (15,) * 4) == tuple(range(24))
+            assert _board_dfs(n, rows) == sorted(want)
+    assert _board_ranks(4, (15,) * 4, bytes(4)) == tuple(range(24))
+    assert _board_ranks(3, (3, 0, 3), bytes((0, 1, 0))) == ()
+    # every nabla and nabla_tilde board, sizes of B and A equal or not
+    for n in range(1, MUL_TABLE_MAX_N + 1):
+        full = (1 << n) - 1
+        for bmask in range(1 << n):
+            for amask in range(1 << n):
+                for rest in (full ^ bmask, full):
+                    rows = tuple(bmask if amask >> i & 1 else rest for i in range(n))
+                    assert list(_board_ranks(n, rows, _row_blocks(rows))) == _board_dfs(n, rows)
 
 
 def test_derangement_board_sum_is_central():

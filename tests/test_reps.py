@@ -3,7 +3,7 @@ verification."""
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -319,6 +319,46 @@ class TestAnnihilatorChecks:
     def test_cap(self):
         with pytest.raises(ValueError):
             annihilator_check_V(6, 2)
+
+    def test_row_sets_are_the_avoiders(self, monkeypatch):
+        """The rows each check feeds to `_image_rank`, against a brute-force
+        filter on the longest monotone subsequences, for every k whose module
+        is within the dimension cap."""
+        calls = []
+        monkeypatch.setattr(
+            reps, "_image_rank", lambda action, perms, field: calls.append([w.oln for w in perms]) or 0
+        )
+
+        def longest(w, increasing):
+            return max(
+                size
+                for size in range(len(w) + 1)
+                for sub in combinations(w, size)
+                if all((a < b) == increasing for a, b in zip(sub, sub[1:]))
+            )
+
+        for n in range(1, 6):
+            perms = list(permutations(range(1, n + 1)))
+            lis = {w: longest(w, True) for w in perms}
+            lds = {w: longest(w, False) for w in perms}
+            for k in range(1, n + 2):
+                if k**n <= reps.MODULE_DIM_CAP:
+                    calls.clear()
+                    annihilator_check_V(n, k)
+                    assert calls == [
+                        perms,
+                        [w for w in perms if lis[w] <= k],
+                        [w for w in perms if lds[w] <= k],
+                    ], (n, k)
+            for k in range(n + 2):
+                if n**k <= reps.MODULE_DIM_CAP:
+                    calls.clear()
+                    annihilator_check_N(n, k)
+                    assert calls == [
+                        perms,
+                        [w for w in perms if lis[w] >= n - k],
+                        [w for w in perms if lds[w] >= n - k],
+                    ], (n, k)
 
 
 class TestSpecht:
