@@ -44,12 +44,12 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 from snalg.exactla import QQ, SpanBasis
-from snalg.groupalg import AlgebraElement, _canonical, mul as algebra_mul
+from snalg.groupalg import AlgebraElement, _board_combination, mul as algebra_mul
 from snalg.report import Report
-from snalg.rook import Subset, _add_board, delta, omega, subsets_of_size
+from snalg.rook import Subset, _rows, delta, omega, subsets_of_size
 
 __all__ = [
     "DALG_CAP",
@@ -174,18 +174,6 @@ def _mul_coeffs(n: int, x: dict, y: dict) -> dict:
     """The product of {index: coeff} dicts, with the zero coefficients
     dropped.  The weights of all term pairs that share a block (D, A) are
     summed per size u first, then each block is expanded once."""
-    if len(x) == 1 and len(y) == 1:
-        ((i, xi),) = x.items()
-        ((j, yj),) = y.items()
-        row, key = _pair_row(n, i, j)
-        w = xi * yj
-        out = {}
-        for r, block in zip(row, _blocks(n, *key)):
-            if r:
-                c = w * r
-                for t in block:
-                    out[t] = c
-        return out
     weights: dict[tuple[int, int], list] = {}
     for i, xi in x.items():
         for j, yj in y.items():
@@ -327,15 +315,10 @@ def d_mul(x: DElement, y: DElement) -> DElement:
 
 def to_group_algebra(x: DElement) -> AlgebraElement:
     """The linear map Δ_{B,A} ↦ ∇_{B,A} into the group algebra."""
-    n, field = x.n, x.field
+    n = x.n
     pairs, _ = _basis_data(n)
-    # over F_p the coefficients are ints, of denominator 1
-    den = lcm(*(c.denominator for c in x._coeffs.values()))
-    acc = [0] * factorial(n)
-    for idx, c in x._coeffs.items():
-        b, a = pairs[idx]
-        _add_board(acc, Subset(n, mask=b), Subset(n, mask=a), c.numerator * (den // c.denominator))
-    return _canonical(n, field, enumerate(acc), den)
+    terms = ((_rows(n, *pairs[idx]), c) for idx, c in x._coeffs.items())
+    return _board_combination(n, x.field, terms)
 
 
 def _triple_rows(n: int, c: int, b: int, f: int, m1: int, m2: int):

@@ -10,7 +10,8 @@ polynomials over the rationals with integer-root factorization.
 
 Every rook sum in snalg (nabla, nabla_tilde, row and tuple sums,
 antisymmetrizers, the product rules) is the sum over a board of allowed
-squares; `board_sum` is the general entry point, and all of them take their
+squares; `board_sum` is the general entry point, `_board_combination` the
+one way to add up boards with scalar weights, and all of them take their
 terms from one cached enumerator that yields lex ranks in increasing order.
 
 Multiplication uses a cached n! x n! composition table for n <= 6 and
@@ -464,14 +465,14 @@ def _row_blocks(rows: tuple[int, ...]) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _board_ranks(n: int, rows: tuple[int, ...], blocks: bytes) -> tuple[int, ...]:
+def _board_ranks(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     """Lex ranks, ascending, of the w in S_n with w(i + 1) - 1 in the column
-    bitmask rows[i] for every i, given blocks = `_row_blocks(rows)`.  Up to
-    MUL_TABLE_MAX_N they are the members of the cosets of the Young subgroup
-    of equal rows whose images fit in the rows; beyond, the depth-first
-    search finds them."""
+    bitmask rows[i] for every i.  Up to MUL_TABLE_MAX_N they are the members
+    of the cosets of the Young subgroup of equal rows whose images fit in
+    the rows; beyond, the depth-first search finds them."""
     if n > MUL_TABLE_MAX_N:
         return tuple(_board_dfs(n, rows))
+    blocks = _row_blocks(rows)
     _, images, members = _coset_ids(n, blocks)
     # every bit but 1 << b in byte j for the columns j of block b's row
     forbidden = -1
@@ -489,11 +490,26 @@ def _rook_sum(n: int, rows: tuple[int, ...], field) -> AlgebraElement:
     Swapping two positions of equal rows maps the board onto itself, so the
     element keeps the classes of equal rows, labelled by first appearance,
     as its right Young subgroup; with no equal rows it keeps none."""
+    a = AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows), 1))
     blocks = _row_blocks(rows)
-    a = AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows, blocks), 1))
     if len(set(blocks)) < n:
         a._blocks = blocks
     return a
+
+
+def _board_combination(n: int, field, terms: Iterable) -> AlgebraElement:
+    """The sum of c times the board sum of rows over (rows, c) in terms, c
+    a field scalar (an int is taken as it is), added up in one integer list
+    over the common denominator of the c."""
+    terms = [(rows, c if isinstance(c, int) else field.normalize(c)) for rows, c in terms]
+    # over F_p the normalized scalars are ints, of denominator 1
+    den = lcm(*(c.denominator for _, c in terms))
+    acc = [0] * factorial(n)
+    for rows, c in terms:
+        c = c.numerator * (den // c.denominator)
+        for r in _board_ranks(n, rows):
+            acc[r] += c
+    return _canonical(n, field, enumerate(acc), den)
 
 
 def board_sum(n: int, board: Iterable[tuple[int, int]], field=QQ) -> AlgebraElement:

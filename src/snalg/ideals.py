@@ -36,7 +36,6 @@ from snalg.perm import (
 from snalg.report import Report
 from snalg.rook import Subset
 from snalg.setdecomp import (
-    SetDecomposition,
     act,
     antisymmetrizer,
     random_set_composition,

@@ -195,26 +195,12 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
 def lis_length(w: Permutation) -> int:
     """Length of the longest strictly increasing subsequence of w(1..n)."""
-    tails: list[int] = []
-    for v in w._img:
-        i = bisect_left(tails, v)
-        if i == len(tails):
-            tails.append(v)
-        else:
-            tails[i] = v
-    return len(tails)
+    return max(lis_ending_lengths(w), default=0)
 
 
 def lds_length(w: Permutation) -> int:
     """Length of the longest strictly decreasing subsequence of w(1..n)."""
-    tails: list[int] = []
-    for v in reversed(w._img):
-        i = bisect_left(tails, v)
-        if i == len(tails):
-            tails.append(v)
-        else:
-            tails[i] = v
-    return len(tails)
+    return lis_length(Permutation._from_zero(w._img[::-1]))
 
 
 def avoids_incr(w: Permutation, m: int) -> bool:

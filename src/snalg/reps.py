@@ -444,20 +444,15 @@ def specht_annihilation_check(n: int, k: int, field=QQ, cap: int = SPECHT_CAP) -
             span.insert(mul(AlgebraElement.from_perm(w, field), c).to_vector())
         span_ranks[str(lam)] = span.rank()
         if lam.length > k:
-            ok = True
-            witness = None
-            for v, e in zip(ibasis.leaders, ibasis.elements):
-                if not mul(e, c).is_zero():
-                    ok, witness = False, f"I-basis element for {v.oln}"
-                    break
-            rep.add(f"I_kills_{lam}", ok, witness=witness)
+            name, basis = "I", ibasis
         else:
-            ok = True
-            witness = None
-            for v, e in zip(jbasis.leaders, jbasis.elements):
-                if not mul(e, c).is_zero():
-                    ok, witness = False, f"J-basis element for {v.oln}"
-                    break
-            rep.add(f"J_kills_{lam}", ok, witness=witness)
+            name, basis = "J", jbasis
+        ok = True
+        witness = None
+        for v, e in zip(basis.leaders, basis.elements):
+            if not mul(e, c).is_zero():
+                ok, witness = False, f"{name}-basis element for {v.oln}"
+                break
+        rep.add(f"{name}_kills_{lam}", ok, witness=witness)
     rep.data["span_ranks"] = span_ranks
     return rep

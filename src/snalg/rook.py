@@ -4,7 +4,9 @@ For subsets A, B of [n], the rook sum nabla(B, A) adds every permutation
 mapping A onto B, and nabla_tilde(B, A) every permutation mapping A into B.
 Both are rook-board sums: each position in A may take a column in B, every
 other position the columns outside B (nabla) or any column (nabla_tilde),
-and the terms come from the board enumerator behind `groupalg.board_sum`.
+and the terms come from the board enumerator behind `groupalg.board_sum`;
+a weighted sum of boards, such as a product rule or nabla_D_alpha, is one
+call of `groupalg._board_combination`, the one way to sum boards.
 The product of two rook sums expands by an integer coefficient omega(B, C)
 in three equivalent closed forms (product_rule_a/b/c), and the combinations
 nabla_D_alpha satisfy a split polynomial annihilation identity driven by
@@ -25,10 +27,8 @@ from snalg.exactla import QQ
 from snalg.groupalg import (
     AlgebraElement,
     MinimalPolynomial,
-    _board_ranks,
-    _canonical,
+    _board_combination,
     _rook_sum,
-    _row_blocks,
     element_min_poly,
     mul,
     scale,
@@ -165,20 +165,13 @@ def _check_same_n(*subsets: Subset) -> int:
     return ns.pop()
 
 
-def _rows(B: Subset, A: Subset, tilde: bool) -> tuple[int, ...]:
-    """The board of nabla(B, A), or of nabla_tilde(B, A) when tilde: the
-    columns of B at the positions of A, and every other position the
-    columns outside B, or all columns."""
-    n, full = B.n, (1 << B.n) - 1
-    rest = full if tilde else full ^ B.mask
-    return tuple(B.mask if A.mask >> i & 1 else rest for i in range(n))
-
-
-def _add_board(acc: list[int], B: Subset, A: Subset, coeff: int, tilde: bool = False) -> None:
-    """Add coeff to acc at every term of nabla(B, A), or of nabla_tilde."""
-    rows = _rows(B, A, tilde)
-    for r in _board_ranks(B.n, rows, _row_blocks(rows)):
-        acc[r] += coeff
+def _rows(n: int, bmask: int, amask: int, tilde: bool = False) -> tuple[int, ...]:
+    """The board of nabla(B, A), or of nabla_tilde(B, A) when tilde, for the
+    subsets B, A of [n] with these masks: the columns of B at the positions
+    of A, and every other position the columns outside B, or all columns."""
+    full = (1 << n) - 1
+    rest = full if tilde else full ^ bmask
+    return tuple(bmask if amask >> i & 1 else rest for i in range(n))
 
 
 def nabla(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
@@ -186,7 +179,7 @@ def nabla(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
     n = _check_same_n(B, A)
     if A.size != B.size:
         return AlgebraElement.zero(n, field)
-    return _rook_sum(n, _rows(B, A, False), field)
+    return _rook_sum(n, _rows(n, B.mask, A.mask), field)
 
 
 def nabla_tilde(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
@@ -194,7 +187,7 @@ def nabla_tilde(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
     n = _check_same_n(B, A)
     if A.size > B.size:
         return AlgebraElement.zero(n, field)
-    return _rook_sum(n, _rows(B, A, True), field)
+    return _rook_sum(n, _rows(n, B.mask, A.mask, tilde=True), field)
 
 
 def omega(B: Subset, C: Subset) -> int:
@@ -243,11 +236,11 @@ def product_rule_a(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> Alge
     n = _check_product_sizes(D, C, B, A)
     target = (B.mask & C.mask).bit_count()
     w = omega(B, C)
-    acc = [0] * factorial(n)
+    terms = []
     for U in subsets_of_size(n, A.size):
         if (U.mask & D.mask).bit_count() == target:
-            _add_board(acc, U, A, w)
-    return _canonical(n, field, enumerate(acc))
+            terms.append((_rows(n, U.mask, A.mask), w))
+    return _board_combination(n, field, terms)
 
 
 def product_rule_b(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> AlgebraElement:
@@ -260,16 +253,16 @@ def product_rule_b(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> Alge
         )
     j0 = (B.mask & C.mask).bit_count()
     w = omega(B, C)
-    acc = [0] * factorial(n)
+    terms = []
     for size in range(min(D.size, A.size) + 1):
         coeff = w * (-1) ** (size - j0) * comb(size, j0)
         if not field.from_int(coeff):
             continue
         for um in combinations(D.members, size):
-            U = Subset(n, um)
+            umask = Subset(n, um).mask
             for vm in combinations(A.members, size):
-                _add_board(acc, U, Subset(n, vm), coeff)
-    return _canonical(n, field, enumerate(acc))
+                terms.append((_rows(n, umask, Subset(n, vm).mask), coeff))
+    return _board_combination(n, field, terms)
 
 
 def product_rule_c(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> AlgebraElement:
@@ -278,14 +271,14 @@ def product_rule_c(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> Alge
     n = _check_product_sizes(D, C, B, A)
     j0 = (B.mask & C.mask).bit_count()
     w = omega(B, C)
-    acc = [0] * factorial(n)
+    terms = []
     for size in range(min(A.size, D.size) + 1):
         coeff = w * (-1) ** (size - j0) * comb(size, j0)
         if not field.from_int(coeff):
             continue
         for vm in combinations(A.members, size):
-            _add_board(acc, D, Subset(n, vm), coeff, tilde=True)
-    return _canonical(n, field, enumerate(acc))
+            terms.append((_rows(n, D.mask, Subset(n, vm).mask, tilde=True), coeff))
+    return _board_combination(n, field, terms)
 
 
 def product_rule_fuzz(n: int, trials: int = 200, seed: int = 0, field=QQ) -> "Report":
@@ -359,19 +352,15 @@ def _check_alpha(D: Subset, alpha: Mapping[Subset, object]) -> None:
 def nabla_D_alpha(D: Subset, alpha: Mapping[Subset, object], field=QQ) -> AlgebraElement:
     """The combination sum of alpha[C] * nabla(D, C)."""
     _check_alpha(D, alpha)
-    acc = AlgebraElement.zero(D.n, field)
-    for C, c in alpha.items():
-        acc = acc + scale(c, nabla(D, C, field))
-    return acc
+    terms = ((_rows(D.n, D.mask, C.mask), c) for C, c in alpha.items())
+    return _board_combination(D.n, field, terms)
 
 
 def nabla_alpha_D(D: Subset, alpha: Mapping[Subset, object], field=QQ) -> AlgebraElement:
     """The mirrored combination sum of alpha[C] * nabla(C, D)."""
     _check_alpha(D, alpha)
-    acc = AlgebraElement.zero(D.n, field)
-    for C, c in alpha.items():
-        acc = acc + scale(c, nabla(C, D, field))
-    return acc
+    terms = ((_rows(D.n, C.mask, D.mask), c) for C, c in alpha.items())
+    return _board_combination(D.n, field, terms)
 
 
 def delta_D_alpha(D: Subset, alpha: Mapping[Subset, object], k: int, field=QQ):

@@ -20,9 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from snalg.exactla import QQ
-from snalg.groupalg import (
-    AlgebraElement, _board_ranks, _canonical, _rook_sum, _row_blocks, _sign_table,
-)
+from snalg.groupalg import AlgebraElement, _rook_sum, sign_twist
 from snalg.perm import Permutation
 from snalg.rook import Subset
 
@@ -125,8 +123,7 @@ def antisymmetrizer(U: Subset, field=QQ) -> AlgebraElement:
     """The signed sum of all permutations fixing [n] ∖ U pointwise."""
     n = U.n
     rows = tuple(U.mask if U.mask >> i & 1 else 1 << i for i in range(n))
-    signs = _sign_table(n)
-    return _canonical(n, field, ((r, signs[r]) for r in _board_ranks(n, rows, _row_blocks(rows))))
+    return sign_twist(_rook_sum(n, rows, field))
 
 
 def tuple_sum(b: Sequence[int], a: Sequence[int], n: int, field=QQ) -> AlgebraElement:

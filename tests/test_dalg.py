@@ -30,6 +30,7 @@ from snalg.dalg import (
     unity_find,
 )
 from snalg.exactla import GF, QQ, SpanBasis
+from snalg.groupalg import AlgebraElement, add, scale
 from snalg.groupalg import mul as algebra_mul
 from snalg.perm import enumerate_av
 from snalg.rook import Subset, delta, nabla, omega
@@ -605,6 +606,33 @@ def test_to_group_algebra_sends_symbols_to_rook_sums():
         for b, a in basis_pairs(n):
             x = DElement.basis(n, b, a)
             assert to_group_algebra(x) == nabla(b, a)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(5)), ids=("Q", "F5"))
+def test_to_group_algebra_matches_reference_sums(field):
+    # the one integer accumulator against adding the scaled rook sums one
+    # by one: int and fractional coefficients, and combinations that cancel
+    rng = random.Random(1618)
+    for n in range(1, 5):
+        pairs = basis_pairs(n)
+        # the sum over B of nabla(B, {a}) is the group sum for every a, so
+        # the symbols D(B|{1}) minus the symbols D(B|{n}) map to zero
+        ends = {(1,): 1, (n,): -1} if n > 1 else {}
+        cancel = {i: ends[a.members] for i, (b, a) in enumerate(pairs) if a.members in ends}
+        picks = [rng.randrange(len(pairs)) for _ in range(6)]
+        draws = [
+            {i: rng.randint(-9, 9) for i in picks},
+            {i: Fraction(rng.randint(-9, 9), rng.choice((2, 3, 4, 6))) for i in picks},
+            cancel,
+            {i: Fraction(c, 6) for i, c in cancel.items()} | {0: Fraction(3, 4)},
+        ]
+        for coeffs in draws:
+            x = DElement(n, field, coeffs)
+            want = AlgebraElement.zero(n, field)
+            for b, a, c in x.items():
+                want = add(want, scale(c, nabla(b, a, field)))
+            assert to_group_algebra(x) == want, (n, coeffs)
+        assert to_group_algebra(DElement(n, field, cancel)).is_zero()
 
 
 def test_quotient_map_exhaustive_small():

@@ -11,6 +11,7 @@ import pytest
 from snalg.exactla import GF, QQ
 from snalg.groupalg import (
     AlgebraElement,
+    add,
     antipode,
     element_min_poly,
     group_sum,
@@ -437,6 +438,44 @@ def test_indicator_alpha_reproduces_tilde_annihilation():
         for k in range(D.size + 1):
             acc = mul(N - scale(delta_tilde(D, B, k), one), acc)
         assert acc.is_zero()
+
+
+def reference_combination(n, field, terms):
+    """The sum of c * nabla(B, A) over ((B, A), c), one add and scale at a
+    time."""
+    acc = AlgebraElement.zero(n, field)
+    for (B, A), c in terms:
+        acc = add(acc, scale(c, nabla(B, A, field)))
+    return acc
+
+
+@pytest.mark.parametrize("kind", ("int", "fraction", "zero", "fp-fraction"))
+def test_nabla_alpha_combinations_match_reference_sums(kind):
+    # one integer accumulator over the common denominator must give the
+    # same element as adding the scaled rook sums one by one
+    rng = random.Random(kind)
+    field = GF(5) if kind == "fp-fraction" else QQ
+    draws = {
+        "int": lambda: rng.randint(-6, 6),
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.choice((2, 3, 4, 6))),
+        "zero": lambda: rng.choice((0, Fraction(0))),
+        # denominators prime to 5; 5/3 and 10 are zero in GF(5)
+        "fp-fraction": lambda: rng.choice(
+            (Fraction(rng.randint(-9, 9), rng.choice((2, 3, 4, 7))), Fraction(5, 3), 10)
+        ),
+    }
+    nonzero = 0
+    for n in range(1, 5):
+        for D in all_subsets(n):
+            alpha = {C: draws[kind]() for C in subsets_of_size(n, D.size)}
+            got = nabla_D_alpha(D, alpha, field)
+            mirrored = nabla_alpha_D(D, alpha, field)
+            terms = alpha.items()
+            assert got == reference_combination(n, field, [((D, C), c) for C, c in terms])
+            assert mirrored == reference_combination(n, field, [((C, D), c) for C, c in terms])
+            assert got.is_zero() == mirrored.is_zero()
+            nonzero += not got.is_zero()
+    assert (nonzero == 0) == (kind == "zero")
 
 
 # -- kappa and the minpol table ---------------------------------------------------
