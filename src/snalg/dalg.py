@@ -7,11 +7,12 @@ rook-sum product rule:
 
 With m = |B∩C|, the coefficient of Δ_{U,V} depends only on |U| and the
 size class (n, |C|, |B|, m), and the U, V range over a block that depends
-only on (D, A).  So no structure constant is stored: a product is a
-coefficient row per size class (`_coeff_row`) against the block of basis
-indices per (D, A) (`_blocks`), and `_mul_coeffs` sums the weights of all
-term pairs that share a block before expanding it once.  The trace of left
-multiplication is the paper's δ summed in closed form,
+only on (D, A).  So no structure constant is stored: a product is the
+coefficient row of its size class, `rook._coeff_row`, the row the rook-sum
+product rules and δ read too, against the block of basis indices per
+(D, A) (`_blocks`, built from `rook._subsets_of`), and `_mul_coeffs` sums
+the weights of all term pairs that share a block before expanding it once.
+The trace of left multiplication is the paper's δ summed in closed form,
 τ_{D,C} = Σ_k C(n,k)·δ(D,C,k), and the trace form reads the sums of τ over
 each block.
 
@@ -48,8 +49,9 @@ from math import comb, lcm
 
 from snalg.exactla import QQ, SpanBasis
 from snalg.groupalg import AlgebraElement, _board_combination, mul as algebra_mul
+from snalg.perm import _check_n_range
 from snalg.report import Report
-from snalg.rook import Subset, _rows, delta, omega, subsets_of_size
+from snalg.rook import Subset, _coeff_row, _rows, _subsets_of, delta, subsets_of_size
 
 __all__ = [
     "DALG_CAP",
@@ -71,11 +73,6 @@ __all__ = [
 ]
 
 DALG_CAP = 5
-
-
-def _check_cap(n: int, cap: int = DALG_CAP) -> None:
-    if not 1 <= n <= cap:
-        raise ValueError(f"n = {n} outside supported range 1..{cap}")
 
 
 def d_dim(n: int) -> int:
@@ -113,27 +110,6 @@ def basis_index(n: int, B: Subset, A: Subset) -> int:
 
 
 @lru_cache(maxsize=None)
-def _subsets_of(mask: int) -> tuple[tuple[int, ...], ...]:
-    """Sub-masks of mask grouped by size."""
-    bits = []
-    m = mask
-    while m:
-        low = m & -m
-        bits.append(low)
-        m ^= low
-    by_size: list[list[int]] = [[] for _ in range(len(bits) + 1)]
-    for sub in range(1 << len(bits)):
-        acc = 0
-        count = 0
-        for t, bit in enumerate(bits):
-            if sub >> t & 1:
-                acc |= bit
-                count += 1
-        by_size[count].append(acc)
-    return tuple(tuple(group) for group in by_size)
-
-
-@lru_cache(maxsize=None)
 def _blocks(n: int, dmask: int, amask: int) -> tuple[tuple[int, ...], ...]:
     """Per size u, the basis indices of the Δ_{U,V} with U ⊆ D, V ⊆ A and
     |U| = |V| = u: u ascending, then U, then V."""
@@ -143,20 +119,6 @@ def _blocks(n: int, dmask: int, amask: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(index[(umask, vmask)] for umask in dsubs[u] for vmask in asubs[u])
         for u in range(min(len(dsubs), len(asubs)))
-    )
-
-
-@lru_cache(maxsize=None)
-def _coeff_row(n: int, c: int, b: int, m: int) -> tuple[int, ...]:
-    """coeffs[u] = ω(B,C)·(−1)^{u−m}·C(u,m) for u = 0..min(b, c): the
-    coefficient of every Δ_{U,V} with |U| = u in Δ_{D,C}·Δ_{B,A}, for any
-    |C| = c, |B| = b and |B∩C| = m, with ω from `rook.omega` on one such
-    pair.  Zero below u = m."""
-    cmask = (1 << c) - 1
-    bmask = ((1 << b) - 1) << (c - m)
-    w = omega(Subset(n, mask=bmask), Subset(n, mask=cmask))
-    return tuple(
-        -w * comb(u, m) if (u - m) & 1 else w * comb(u, m) for u in range(min(b, c) + 1)
     )
 
 
@@ -353,7 +315,7 @@ def associativity_check(n: int, mode: str = None, trials: int = 10000, seed: int
     (`_triple_rows`), and each class is compared once per call.  The
     regrouping identity in the module docstring holds for any row table, so
     equal rows are equal products, triple for triple."""
-    _check_cap(n)
+    _check_n_range(n, DALG_CAP)
     if mode is None:
         mode = "exhaustive" if n <= 3 else "sampled"
     if mode not in ("exhaustive", "sampled"):
@@ -449,7 +411,7 @@ def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
     coefficients are determined; the candidate is then checked against
     every equation in integer arithmetic, scaled by its common
     denominator, so a returned element is a two-sided unity."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     dim = d_dim(n)
     aug = SpanBasis(field, dim + 1)
     for cols, rhs in _unity_equations(n):
@@ -488,7 +450,7 @@ def center_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
     step.  No early stop at full rank: Δ_{∅,∅} is central over every field
     (both products with Δ_{B,A} are |A|!(n−|A|)!·Δ_{∅,∅}), so the rank stays
     below the dimension."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     dim = d_dim(n)
     span = SpanBasis(field, dim)
     for i in range(dim):
@@ -563,7 +525,7 @@ def radical_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
     τ_{D,C} = Σ_k C(n,k)·δ(D,C,k), and the entry at (Δ_{D,C}, Δ_{B,A}) is the
     coefficient row of the size class dotted with the sums of τ over the
     block (D, A)."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     if field.characteristic != 0:
         raise ValueError("radical computation is supported over the rationals only")
     span = _gram_span(n)
@@ -575,7 +537,7 @@ def radical_basis(n: int, cap: int = DALG_CAP) -> list[DElement]:
     form on the unitalization, read off the `SpanBasis` of the integer Gram
     rows by `SpanBasis.kernel`, as coordinates on the Δ-symbols.  The
     unitalization coordinate of every kernel vector is zero."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     out = []
     for vec in _gram_span(n).kernel():
         if vec[0]:
@@ -587,7 +549,7 @@ def radical_basis(n: int, cap: int = DALG_CAP) -> list[DElement]:
 def quotient_map_check(n: int, trials: int = 500, seed: int = 0, field=QQ) -> Report:
     """Δ_{B,A} ↦ ∇_{B,A} is multiplicative: exhaustive over basis pairs
     for n ≤ 3, seeded samples otherwise."""
-    _check_cap(n)
+    _check_n_range(n, DALG_CAP)
     rep = Report("quotient_map_check", n=n, field=field.name)
     dim = d_dim(n)
     exhaustive = n <= 3
@@ -637,7 +599,7 @@ def reference_unity(n: int, field=QQ) -> DElement:
 def stats(n: int, field=QQ, cap: int = DALG_CAP) -> dict:
     """The data-table row: dimension, center and radical dimensions, and
     the unity formula when one exists."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     unity = unity_find(n, field, cap)
     row = {
         "n": n,

@@ -28,6 +28,7 @@ from snalg.groupalg import (
 )
 from snalg.perm import (
     Permutation,
+    _check_n_range,
     enumerate_av,
     enumerate_av_prime,
     erdos_szekeres_decomposition,
@@ -102,11 +103,6 @@ class IdealBasis:
         )
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if not 1 <= n <= cap:
-        raise ValueError(f"n = {n} outside supported range 1..{cap}")
-
-
 def increasing_witness(v: Permutation, k: int) -> Subset:
     """The lexicographically smallest (k+1)-element set of positions on
     which v is increasing.  Requires v to contain an increasing subsequence
@@ -130,7 +126,7 @@ def build_I_basis(n: int, k: int, field=QQ, cap: int = BASIS_CAP) -> IdealBasis:
     """Triangular basis of I_k: one row-to-row sum per permutation avoiding
     an increasing (k+1)-subsequence, built from its strictly-decreasing
     block decomposition."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     elements = []
     leaders = []
     for v in enumerate_av(n, k + 1):
@@ -145,7 +141,7 @@ def build_J_basis(n: int, k: int, field=QQ, cap: int = BASIS_CAP) -> IdealBasis:
     """Triangular basis of J_k: one element v·∇_U⁻ per permutation v that
     contains an increasing (k+1)-subsequence, with U the deterministic
     smallest witness subset."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     elements = []
     leaders = []
     if k < n:
@@ -188,12 +184,12 @@ def _random_perm(rng: random.Random, n: int) -> Permutation:
     return permutation_basis(n)[rng.randrange(factorial(n))]
 
 
-def _annihilation_witness(ibasis: IdealBasis, jbasis: IdealBasis):
-    """The first pair of an I- and a J-basis element, in basis order, whose
-    product in either order is nonzero, as text; None if there is none."""
+def _pair_witness(ibasis: IdealBasis, jbasis: IdealBasis, fails):
+    """The first pair of an I- and a J-basis element, in basis order, for
+    which fails(ei, ej) holds, as text; None if there is none."""
     for i, ei in zip(ibasis.leaders, ibasis.elements):
         for j, ej in zip(jbasis.leaders, jbasis.elements):
-            if not mul(ei, ej).is_zero() or not mul(ej, ei).is_zero():
+            if fails(ei, ej):
                 return f"I[{i.oln}] vs J[{j.oln}]"
     return None
 
@@ -275,7 +271,7 @@ def verify_row_main(
 
     Quotient bases (vi) pass by the triangular argument of
     `_completion_rank` when it applies, and by elimination otherwise."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rep = Report("verify_row_main", n=n, k=k, field=field.name)
@@ -402,21 +398,16 @@ def verify_row_main(
     # (ii) products vanish in both orders: certified, or every pair.
     witness = None
     if not (generated and _annihilation_certificate(ibasis, ispan, aX)):
-        witness = _annihilation_witness(ibasis, jbasis)
+        witness = _pair_witness(
+            ibasis, jbasis, lambda e, f: not (mul(e, f).is_zero() and mul(f, e).is_zero())
+        )
     annihilates = rep.add("mutual_annihilation", witness is None, witness=witness)
 
     # (iii) dot products vanish: from (ii) and (vii), or every pair.
-    ok = True
     witness = None
     if not (annihilates and antipode_ok):
-        for i, ei in zip(ibasis.leaders, ibasis.elements):
-            for j, ej in zip(jbasis.leaders, jbasis.elements):
-                if dot(ei, ej):
-                    ok, witness = False, f"I[{i.oln}] vs J[{j.oln}]"
-                    break
-            if not ok:
-                break
-    rep.add("orthogonality", ok, witness=witness)
+        witness = _pair_witness(ibasis, jbasis, dot)
+    rep.add("orthogonality", witness is None, witness=witness)
 
     # (ii) and (iii) were decided last, as they rest on (vii) and (viii);
     # report them after (i), in their numbered order
@@ -429,7 +420,7 @@ def orthogonal_complement_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP)
     bilinear form with orthonormal permutation basis, computed as the
     kernel of the span of the J-basis vectors (every unit vector when
     J_k = 0)."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     rep = Report("orthogonal_complement_check", n=n, k=k, field=field.name)
     ispan = build_I_basis(n, k, field, cap).span()
     perp = SpanBasis(field, factorial(n))
@@ -444,7 +435,7 @@ def orthogonal_complement_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP)
 def tuple_sum_span_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Report:
     """span{tuple_sum(b, a) : a, b ∈ [n]^k} equals the sign-twist of
     J_{n-k-1}, by exhaustive generation of the tuple sums (k small)."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     if k > 2:
         raise ValueError("tuple exhaustion supported for k <= 2 only")
     rep = Report("tuple_sum_span_check", n=n, k=k, field=field.name)
@@ -483,7 +474,7 @@ def twin_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Report:
     """The residues of permutations outside the decreasing-avoider set
     Av'_n(k+1) also complete I_k to full rank, and both avoider families
     have the same size."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     rep = Report("twin_check", n=n, k=k, field=field.name)
     n_fact = factorial(n)
     num_av = len(enumerate_av(n, k + 1))
@@ -502,7 +493,7 @@ def twin_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Report:
 def mixed_quotient_check(n: int, k: int, l: int, field=QQ, cap: int = VERIFY_CAP) -> Report:
     """The permutations in Av'_n(l+1) ∖ Av_n(k+1) index a basis of the
     quotient by I_k + sign_twist(J_l)."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     rep = Report("mixed_quotient_check", n=n, k=k, l=l, field=field.name)
     n_fact = factorial(n)
     s = build_I_basis(n, k, field, cap).span()
@@ -528,7 +519,7 @@ def mixed_quotient_check(n: int, k: int, l: int, field=QQ, cap: int = VERIFY_CAP
 
 def cross_char_intersection(n: int, field=QQ, cap: int = VERIFY_CAP) -> int:
     """dim(I₂ ∩ sign_twist(I₂)) over the given field."""
-    _check_cap(n, cap)
+    _check_n_range(n, cap)
     ibasis = build_I_basis(n, 2, field, cap)
     ispan = ibasis.span()
     tspan = sign_twisted(ibasis).span()

@@ -222,6 +222,12 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValueError(f"enumeration cap exceeded: n={n} > {cap}")
 
 
+def _check_n_range(n: int, cap: int) -> None:
+    """The n-range check of the capped verifications: 1 <= n <= cap."""
+    if not 1 <= n <= cap:
+        raise ValueError(f"n = {n} outside supported range 1..{cap}")
+
+
 def enumerate_av(n: int, m: int, cap: int = ENUMERATION_CAP) -> list[Permutation]:
     """All w in S_n avoiding an increasing run of length m, in lex order."""
     _check_cap(n, cap)

@@ -21,6 +21,7 @@ from snalg.groupalg import AlgebraElement, _scalar, mul, permutation_basis, sign
 from snalg.ideals import build_I_basis, build_J_basis
 from snalg.perm import (
     Permutation,
+    _check_n_range,
     avoids_decr,
     avoids_incr,
     enumerate_av,
@@ -320,8 +321,7 @@ def annihilator_check_V(n: int, k: int, field=QQ, cap: int = ANNIHILATOR_CAP) ->
     """J_k annihilates the place action on V_k^{⊗n}, and the image of the
     group algebra has rank |Av_n(k+1)|, spanned by the avoider rows alone
     (in both the increasing and decreasing conventions)."""
-    if not 1 <= n <= cap:
-        raise ValueError(f"n = {n} outside supported range 1..{cap}")
+    _check_n_range(n, cap)
     rep = Report("annihilator_check_V", n=n, k=k, field=field.name)
     action = place_action(n, k)
     jbasis = build_J_basis(n, k, field)
@@ -359,8 +359,7 @@ def annihilator_check_N(n: int, k: int, field=QQ, cap: int = ANNIHILATOR_CAP) ->
     """The sign-twist of I_{n-k-1} annihilates the entry action on
     N_n^{⊗k}, and the image rank is n! - |Av_n(n-k)| with the non-avoider
     rows spanning."""
-    if not 1 <= n <= cap:
-        raise ValueError(f"n = {n} outside supported range 1..{cap}")
+    _check_n_range(n, cap)
     rep = Report("annihilator_check_N", n=n, k=k, field=field.name)
     action = entry_action(n, k)
 
@@ -430,8 +429,7 @@ def specht_annihilation_check(n: int, k: int, field=QQ, cap: int = SPECHT_CAP) -
     when ℓ(λ) > k, and J_k annihilates it when ℓ(λ) ≤ k.  Since both
     ideals are two-sided, annihilating the generator a_λ b_λ is
     equivalent.  The rank of each span 𝒜·a_λ·b_λ is recorded."""
-    if not 1 <= n <= cap:
-        raise ValueError(f"n = {n} outside supported range 1..{cap}")
+    _check_n_range(n, cap)
     rep = Report("specht_annihilation_check", n=n, k=k, field=field.name)
     ibasis = build_I_basis(n, k, field)
     jbasis = build_J_basis(n, k, field)

@@ -10,14 +10,19 @@ call of `groupalg._board_combination`, the one way to sum boards.
 The product of two rook sums expands by an integer coefficient omega(B, C)
 in three equivalent closed forms (product_rule_a/b/c), and the combinations
 nabla_D_alpha satisfy a split polynomial annihilation identity driven by
-the integers delta(D, C, k).  The kappa family packages the special case
-whose minimal polynomial depends only on the sizes (|A|, |B|, |A cap B|)
-and generates the table of factored minimal polynomials.
+the integers delta(D, C, k).  The coefficients are stated once, as a row
+per size class (`_coeff_row`), with the sub-masks of a set grouped by size
+(`_subsets_of`): omega, delta, delta_tilde, the three product rules and
+the Delta-algebra of `snalg.dalg` all read these two.  The kappa family
+packages the special case whose minimal polynomial depends only on the
+sizes (|A|, |B|, |A cap B|) and generates the table of factored minimal
+polynomials.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from importlib import resources
 from itertools import combinations
 from math import comb, factorial
@@ -33,7 +38,7 @@ from snalg.groupalg import (
     mul,
     scale,
 )
-from snalg.perm import Permutation
+from snalg.perm import Permutation, _check_n_range
 
 __all__ = [
     "Subset",
@@ -190,94 +195,125 @@ def nabla_tilde(B: Subset, A: Subset, field=QQ) -> AlgebraElement:
     return _rook_sum(n, _rows(n, B.mask, A.mask, tilde=True), field)
 
 
+@lru_cache(maxsize=None)
+def _subsets_of(mask: int) -> tuple[tuple[int, ...], ...]:
+    """Sub-masks of mask grouped by size, each group ascending."""
+    bits = []
+    m = mask
+    while m:
+        low = m & -m
+        bits.append(low)
+        m ^= low
+    by_size: list[list[int]] = [[] for _ in range(len(bits) + 1)]
+    for sub in range(1 << len(bits)):
+        acc = 0
+        count = 0
+        for t, bit in enumerate(bits):
+            if sub >> t & 1:
+                acc |= bit
+                count += 1
+        by_size[count].append(acc)
+    return tuple(tuple(group) for group in by_size)
+
+
+@lru_cache(maxsize=None)
+def _coeff_row(n: int, c: int, b: int, m: int, top: int | None = None) -> tuple[int, ...]:
+    """The product rule, stated once: row[u] = ω·(−1)^{u−m}·C(u, m) for
+    u = 0..top, where ω = m!·(b−m)!·(c−m)!·(n−b−c+m)! is omega(B, C) for
+    any |C| = c, |B| = b and |B∩C| = m.  row[u] is the coefficient of every
+    ∇_{U,V} with |U| = u in ∇_{D,C}·∇_{B,A}, which reaches u = min(b, c),
+    the default top; delta reads u = b, which may exceed c.  row[m] = ω,
+    and the entries below u = m are zero."""
+    w = factorial(m) * factorial(b - m) * factorial(c - m) * factorial(n - b - c + m)
+    if top is None:
+        top = min(b, c)
+    return tuple(-w * comb(u, m) if (u - m) & 1 else w * comb(u, m) for u in range(top + 1))
+
+
 def omega(B: Subset, C: Subset) -> int:
     """|B∩C|! |B∖C|! |C∖B|! |[n]∖(B∪C)|!"""
     n = _check_same_n(B, C)
-    both = (B.mask & C.mask).bit_count()
-    bonly = (B.mask & ~C.mask).bit_count()
-    conly = (C.mask & ~B.mask).bit_count()
-    neither = n - both - bonly - conly
-    return (
-        factorial(both) * factorial(bonly) * factorial(conly) * factorial(neither)
-    )
+    m = (B.mask & C.mask).bit_count()
+    return _coeff_row(n, C.size, B.size, m)[m]
+
+
+def _delta(n: int, dmask: int, cmask: int, k: int) -> int:
+    """delta on masks: the row entry at u = k for each k-subset B of D."""
+    if k < 0:
+        raise ValueError(f"k = {k} is negative")
+    subs = _subsets_of(dmask)
+    if k >= len(subs):
+        return 0
+    c = cmask.bit_count()
+    return sum(_coeff_row(n, c, k, (bmask & cmask).bit_count(), k)[k] for bmask in subs[k])
 
 
 def delta(D: Subset, C: Subset, k: int) -> int:
     """Sum of omega(B, C) (-1)^(k-|B∩C|) C(k, |B∩C|) over k-subsets B of D."""
-    _check_same_n(D, C)
-    total = 0
-    for bmembers in combinations(D.members, k):
-        B = Subset(D.n, bmembers)
-        j = (B.mask & C.mask).bit_count()
-        total += omega(B, C) * (-1) ** (k - j) * comb(k, j)
-    return total
+    return _delta(_check_same_n(D, C), D.mask, C.mask, k)
 
 
 def delta_tilde(D: Subset, B: Subset, k: int) -> int:
     """Sum of delta(D, C, k) over |D|-subsets C of B."""
-    _check_same_n(D, B)
-    return sum(
-        delta(D, Subset(D.n, cm), k) for cm in combinations(B.members, D.size)
-    )
+    n = _check_same_n(D, B)
+    subs = _subsets_of(B.mask)
+    if D.size >= len(subs):
+        return 0
+    return sum(_delta(n, D.mask, cmask, k) for cmask in subs[D.size])
 
 
-def _check_product_sizes(D: Subset, C: Subset, B: Subset, A: Subset) -> int:
+def _rule_row(D: Subset, C: Subset, B: Subset, A: Subset) -> tuple[int, tuple[int, ...]]:
+    """(n, the product rule's row) for nabla(D, C) * nabla(B, A)."""
     n = _check_same_n(D, C, B, A)
     if A.size != B.size:
         raise ValueError(f"|A| = {A.size} != {B.size} = |B|")
     if C.size != D.size:
         raise ValueError(f"|C| = {C.size} != {D.size} = |D|")
-    return n
+    return n, _coeff_row(n, C.size, B.size, (B.mask & C.mask).bit_count())
 
 
 def product_rule_a(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> AlgebraElement:
     """omega(B, C) times the sum of all w with |w(A) ∩ D| = |B ∩ C|, that is
     the sum of nabla(U, A) over the |A|-subsets U with |U ∩ D| = |B ∩ C|."""
-    n = _check_product_sizes(D, C, B, A)
+    n, row = _rule_row(D, C, B, A)
     target = (B.mask & C.mask).bit_count()
-    w = omega(B, C)
-    terms = []
-    for U in subsets_of_size(n, A.size):
-        if (U.mask & D.mask).bit_count() == target:
-            terms.append((_rows(n, U.mask, A.mask), w))
+    w = row[target]
+    terms = [
+        (_rows(n, umask, A.mask), w)
+        for umask in _subsets_of((1 << n) - 1)[A.size]
+        if (umask & D.mask).bit_count() == target
+    ]
     return _board_combination(n, field, terms)
 
 
 def product_rule_b(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> AlgebraElement:
     """omega(B, C) times the signed binomial combination of nabla(U, V) over
     equal-size pairs U ⊆ D, V ⊆ A."""
-    n = _check_product_sizes(D, C, B, A)
+    n, row = _rule_row(D, C, B, A)
     if n > PRODUCT_RULE_B_MAX_N:
         raise ValueError(
             f"subset-pair expansion capped at n = {PRODUCT_RULE_B_MAX_N}, got {n}"
         )
-    j0 = (B.mask & C.mask).bit_count()
-    w = omega(B, C)
-    terms = []
-    for size in range(min(D.size, A.size) + 1):
-        coeff = w * (-1) ** (size - j0) * comb(size, j0)
-        if not field.from_int(coeff):
-            continue
-        for um in combinations(D.members, size):
-            umask = Subset(n, um).mask
-            for vm in combinations(A.members, size):
-                terms.append((_rows(n, umask, Subset(n, vm).mask), coeff))
+    terms = [
+        (_rows(n, umask, vmask), coeff)
+        for coeff, us, vs in zip(row, _subsets_of(D.mask), _subsets_of(A.mask))
+        if field.from_int(coeff)
+        for umask in us
+        for vmask in vs
+    ]
     return _board_combination(n, field, terms)
 
 
 def product_rule_c(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> AlgebraElement:
     """omega(B, C) times the signed binomial combination of nabla_tilde(D, V)
     over V ⊆ A; the terms with |V| > |D| are zero."""
-    n = _check_product_sizes(D, C, B, A)
-    j0 = (B.mask & C.mask).bit_count()
-    w = omega(B, C)
-    terms = []
-    for size in range(min(A.size, D.size) + 1):
-        coeff = w * (-1) ** (size - j0) * comb(size, j0)
-        if not field.from_int(coeff):
-            continue
-        for vm in combinations(A.members, size):
-            terms.append((_rows(n, D.mask, Subset(n, vm).mask, tilde=True), coeff))
+    n, row = _rule_row(D, C, B, A)
+    terms = [
+        (_rows(n, D.mask, vmask, tilde=True), coeff)
+        for coeff, vs in zip(row, _subsets_of(A.mask))
+        if field.from_int(coeff)
+        for vmask in vs
+    ]
     return _board_combination(n, field, terms)
 
 
@@ -286,8 +322,7 @@ def product_rule_fuzz(n: int, trials: int = 200, seed: int = 0, field=QQ) -> "Re
     product: every same-size quadruple for n <= 4, seeded samples beyond."""
     from snalg.report import Report
 
-    if not 1 <= n <= PRODUCT_RULE_B_MAX_N:
-        raise ValueError(f"n = {n} outside supported range 1..{PRODUCT_RULE_B_MAX_N}")
+    _check_n_range(n, PRODUCT_RULE_B_MAX_N)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     exhaustive = n <= 4

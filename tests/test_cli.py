@@ -166,9 +166,18 @@ def test_bad_field_spec_exits_2(capsys):
 
 
 def test_cap_violation_exits_2(capsys):
-    code = main(["dalg-stats", "--n", "7"])
-    capsys.readouterr()
-    assert code == 2
+    # every capped subcommand reports the one n-range message on stderr
+    for argv, n, cap in (
+        (["ideal-suite", "--n", "6", "--k", "2"], 6, 5),
+        (["annihilators", "--n", "6", "--k", "2"], 6, 5),
+        (["dalg-stats", "--n", "7"], 7, 5),
+        (["product-fuzz", "--n", "9"], 9, 8),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == "", argv
+        assert captured.err == f"error: n = {n} outside supported range 1..{cap}\n", argv
 
 
 def test_out_writes_file_and_is_deterministic(tmp_path, capsys):

@@ -10,6 +10,7 @@ from math import comb, factorial, lcm
 import pytest
 
 import snalg.dalg as dalg
+import snalg.rook as rook
 from snalg.dalg import (
     DElement,
     _left_traces,
@@ -33,7 +34,7 @@ from snalg.exactla import GF, QQ, SpanBasis
 from snalg.groupalg import AlgebraElement, add, scale
 from snalg.groupalg import mul as algebra_mul
 from snalg.perm import enumerate_av
-from snalg.rook import Subset, delta, nabla, omega
+from snalg.rook import Subset, delta, nabla, omega, product_rule_fuzz
 
 import gauss_jordan as gj
 
@@ -249,7 +250,7 @@ def test_gram_matches_brute_force(n):
 def fresh_rows():
     # the coefficient rows are cached per size class; a test that patches
     # what they are built from must not leave its rows behind
-    rows = dalg._coeff_row
+    rows = rook._coeff_row
     rows.cache_clear()
     yield
     rows.cache_clear()
@@ -274,11 +275,21 @@ def test_associativity_check_catches_corrupted_row(monkeypatch, fresh_rows):
 
 
 def test_quotient_map_check_catches_wrong_omega(monkeypatch, fresh_rows):
-    real = dalg.omega
-    monkeypatch.setattr(dalg, "omega", lambda B, C: real(B, C) * (2 if B.size == 1 else 1))
+    # the Δ-algebra and the product rules read one coefficient row: ω
+    # doubled when |B| = 1 breaks the quotient map and the rules alike
+    real = rook._coeff_row
+    assert dalg._coeff_row is real
+
+    def corrupted(n, c, b, m, top=None):
+        return tuple(2 * x for x in real(n, c, b, m, top)) if b == 1 else real(n, c, b, m, top)
+
+    monkeypatch.setattr(dalg, "_coeff_row", corrupted)
     rep = quotient_map_check(3)
     assert not rep.passed
     assert rep.failures[0].witness.startswith("indices (")
+    monkeypatch.setattr(rook, "_coeff_row", corrupted)
+    fuzz = product_rule_fuzz(3)
+    assert [c.name for c in fuzz.failures] == ["rule_a", "rule_b", "rule_c"]
 
 
 def test_no_per_pair_memo():

@@ -228,6 +228,46 @@ def test_delta_tilde_examples():
             assert delta_D_alpha(D, alpha, k) == delta_tilde(D, B, k)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_omega_delta_delta_tilde_exhaustive(n):
+    # every pair of subsets and every k up to n + 1, against the factorial
+    # and binomial formulas written out on member sets
+    subsets = [frozenset(s) for r in range(n + 1) for s in combinations(range(1, n + 1), r)]
+
+    def omega_ref(B, C):
+        return (
+            factorial(len(B & C))
+            * factorial(len(B - C))
+            * factorial(len(C - B))
+            * factorial(n - len(B | C))
+        )
+
+    def delta_ref(D, C, k):
+        total = 0
+        for B in combinations(sorted(D), k):
+            j = len(C.intersection(B))
+            total += omega_ref(frozenset(B), C) * (-1) ** (k - j) * comb(k, j)
+        return total
+
+    ks = range(n + 2)
+    want = {(D, C, k): delta_ref(D, C, k) for D in subsets for C in subsets for k in ks}
+    unequal = beyond_c = 0
+    for X in subsets:
+        SX = Subset(n, X)
+        for Y in subsets:
+            SY = Subset(n, Y)
+            assert omega(SX, SY) == omega_ref(X, Y), (X, Y)
+            for k in ks:
+                assert delta(SX, SY, k) == want[X, Y, k], (X, Y, k)
+                tilde = sum(want[X, frozenset(C), k] for C in combinations(sorted(Y), len(X)))
+                assert delta_tilde(SX, SY, k) == tilde, (X, Y, k)
+                unequal += len(X) != len(Y)
+                beyond_c += len(Y) < k <= len(X) and want[X, Y, k] != 0
+    assert unequal and (n == 1 or beyond_c)
+    if n == 3:
+        assert delta(Subset(3, [1, 2]), Subset(3, [1]), 2) == -2
+
+
 def test_binomial_cancellation_identity():
     for n in range(13):
         for k in range(13):
