@@ -14,17 +14,19 @@ squares; `board_sum` is the general entry point, `_board_combination` the
 one way to add up boards with scalar weights, and all of them take their
 terms from one cached enumerator that yields lex ranks in increasing order.
 
-Multiplication uses a cached n! x n! composition table for n <= 6 and
-composes permutations directly beyond that.  A rook sum is unchanged by
-right multiplication with its Young subgroup Y, the permutations that only
-swap positions of equal board rows, so it is a sum of whole left cosets of
-Y.  It keeps the partition of positions into those classes, and on the
-table path a product x * (rook sum) runs one coset at a time: x against one
-representative per coset, then each coset's sum written over the coset
-through a cached table of coset ids.  The work falls from
-|x| * |rook sum| to |x| * |rook sum| / |Y| plus n!.  The same table lists
-the terms of a board for n <= 6, as the cosets whose block images fit in
-its rows; beyond the table the enumerator places rooks depth-first.
+Multiplication has one rule at every n: the one-line image of uv is v's
+image bytes translated through u's, and one cached index gives its lex
+rank.  A rook sum is unchanged by right multiplication with its Young
+subgroup Y, the permutations that only swap positions of equal board rows,
+so it is a sum of whole left cosets of Y.  For n <= ENUMERATION_CAP = 8 it
+keeps the partition of positions into those classes, and a product
+x * (rook sum) runs one coset at a time: x against one representative per
+coset, then each coset's sum written over the coset through a cached table
+of coset ids.  The work falls from |x| * |rook sum| to
+|x| * |rook sum| / |Y| plus n!.  The same table lists the terms of a board
+for n <= 8, as the cosets whose block images fit in its rows; beyond, where
+tables of n! entries are too large, the enumerator places rooks
+depth-first and the product runs over every pair of terms.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ import json
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import factorial, gcd, lcm
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from snalg.exactla import QQ, SpanBasis
-from snalg.perm import Permutation, compose
-from snalg.perm import inverse as perm_inverse
+from snalg.perm import ENUMERATION_CAP, Permutation
 from snalg.perm import sign as perm_sign
 
 __all__ = [
@@ -55,14 +56,10 @@ __all__ = [
     "group_sum",
     "element_min_poly",
     "MinimalPolynomial",
-    "MUL_TABLE_MAX_N",
 ]
 
-MUL_TABLE_MAX_N = 6
-
 _perm_cache: dict[int, list[Permutation]] = {}
-_image_bytes: dict[int, list[bytes]] = {}
-_mul_tables: dict[int, list[array]] = {}
+_image_tables: dict[int, tuple[list[bytes], dict[bytes, int]]] = {}
 _inv_tables: dict[int, array] = {}
 _sign_tables: dict[int, array] = {}
 _coset_tables: dict[bytes, tuple[array, list[int], list[int]]] = {}
@@ -77,45 +74,22 @@ def permutation_basis(n: int) -> list[Permutation]:
     return _perm_cache[n]
 
 
-def _images(n: int) -> list[bytes]:
+def _images(n: int) -> tuple[list[bytes], dict[bytes, int]]:
     """The one-line notation of each permutation, 0-based, as bytes, in
-    lex order."""
-    if n not in _image_bytes:
-        _image_bytes[n] = [bytes(v - 1 for v in p.oln) for p in permutation_basis(n)]
-    return _image_bytes[n]
-
-
-def _mul_table(n: int) -> list[array]:
-    """mt[u][v] = rank of (permutation u) composed with (permutation v).
-    Rows are filled in rank order.  A permutation u other than the identity
-    has a descent at some position i; u s_i, with s_i the transposition of
-    i + 1 and i + 2, has those two entries swapped, so it comes earlier in
-    lex order, and since u v = (u s_i)(s_i v), row u is row (u s_i) read at
-    rank(s_i v) for each v, one C-level gather per row."""
-    if n not in _mul_tables:
-        imgs = _images(n)
-        index = {img: r for r, img in enumerate(imgs)}
-        pad = bytes(256 - n)
-        typecode = "H" if factorial(n) <= 65535 else "L"
-        swaps = []
-        for i in range(n - 1):
-            s_i = list(range(n))
-            s_i[i], s_i[i + 1] = i + 1, i
-            table = bytes(s_i) + pad
-            swaps.append(itemgetter(*(index[img_v.translate(table)] for img_v in imgs)))
-        rows = [array(typecode, range(len(imgs)))]
-        for img_u in imgs[1:]:
-            i = next(i for i in range(n - 1) if img_u[i] > img_u[i + 1])
-            prev = index[img_u[:i] + img_u[i + 1 : i + 2] + img_u[i : i + 1] + img_u[i + 2 :]]
-            rows.append(array(typecode, swaps[i](rows[prev])))
-        _mul_tables[n] = rows
-    return _mul_tables[n]
+    lex order, and the lex rank of each such image."""
+    if n not in _image_tables:
+        imgs = [bytes(w) for w in permutations(range(n))]
+        _image_tables[n] = imgs, {img: r for r, img in enumerate(imgs)}
+    return _image_tables[n]
 
 
 def _inv_table(n: int) -> array:
+    """The lex rank of each inverse, by rank: the image of w^{-1} lists the
+    positions in the order of their images under w."""
     if n not in _inv_tables:
-        perms = permutation_basis(n)
-        _inv_tables[n] = array("L", (perm_inverse(p).rank() for p in perms))
+        imgs, index = _images(n)
+        inverses = (bytes(sorted(range(n), key=img.__getitem__)) for img in imgs)
+        _inv_tables[n] = array("L", (index[img] for img in inverses))
     return _inv_tables[n]
 
 
@@ -127,7 +101,8 @@ def _sign_table(n: int) -> array:
 
 def _coset_ids(n: int, blocks: bytes) -> tuple[array, list[int], list[int]]:
     """(ids, images, members) of the left cosets w Y, Y permuting the
-    positions within each block (position i in block blocks[i] < 8), numbered
+    positions within each block (position i in block blocks[i] < 8, as
+    n <= ENUMERATION_CAP = 8 wherever the tables are built), numbered
     by smallest rank: ids[r] is the coset of rank r, byte j of images[c] has
     the bit 1 << b when coset c sends block b to column j, and members holds
     the ranks coset by coset, ascending.  The inverse image bytes with each
@@ -136,7 +111,7 @@ def _coset_ids(n: int, blocks: bytes) -> tuple[array, list[int], list[int]]:
     members is a list so that the rank tuples cut from it share its ints.
     Users: `mul`, one coset at a time, and `_board_ranks`."""
     if blocks not in _coset_tables:
-        imgs = _images(n)
+        imgs, _ = _images(n)
         label = bytes(1 << b for b in blocks) + bytes(256 - n)
         keys = (imgs[r].translate(label) for r in _inv_table(n))
         index: dict[bytes, int] = {}
@@ -358,7 +333,8 @@ def scale(c, a: AlgebraElement) -> AlgebraElement:
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """The convolution product: sum of coeff_a(u) coeff_b(v) on uv.
+    """The convolution product: sum of coeff_a(u) coeff_b(v) on uv, whose
+    rank is read off the image bytes of u and v through one index.
 
     When b is a rook sum with a right Young subgroup Y larger than {1}, b is
     a sum of whole left cosets vY, so b y = b for every y in Y and
@@ -372,39 +348,27 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     aterms, bterms = a._terms, b._terms
     if not aterms or not bterms:
         return AlgebraElement.zero(n, a.field)
-    if n <= MUL_TABLE_MAX_N:
-        mt = _mul_table(n)
-        if b._blocks is not None:
-            ids, images, _ = _coset_ids(n, b._blocks)
-            reps: dict[int, tuple[int, int]] = {}
-            for rv, cb in bterms.items():
-                reps.setdefault(ids[rv], (rv, cb))
-            sums = [0] * len(images)
-            for ru, ca in aterms.items():
-                row = mt[ru]
-                for rv, cb in reps.values():
-                    sums[ids[row[rv]]] += ca * cb
-            pairs = enumerate([sums[c] for c in ids])
-        else:
-            out = [0] * factorial(n)
-            # smaller support outermost
-            if len(aterms) <= len(bterms):
-                for ru, ca in aterms.items():
-                    row = mt[ru]
-                    for rv, cb in bterms.items():
-                        out[row[rv]] += ca * cb
-            else:
-                for rv, cb in bterms.items():
-                    for ru, ca in aterms.items():
-                        out[mt[ru][rv]] += ca * cb
-            pairs = enumerate(out)
-    else:
-        perms = permutation_basis(n)
-        acc: dict[int, int] = {}
+    imgs, index = _images(n)
+    # byte i of the image of uv is u(v(i)): v's image read through u's
+    pad = bytes(256 - n)
+    if b._blocks is not None:
+        ids, images, _ = _coset_ids(n, b._blocks)
+        reps: dict[int, tuple[bytes, int]] = {}
+        for rv, cb in bterms.items():
+            reps.setdefault(ids[rv], (imgs[rv], cb))
+        sums = [0] * len(images)
         for ru, ca in aterms.items():
-            u = perms[ru]
-            for rv, cb in bterms.items():
-                r = compose(u, perms[rv]).rank()
+            table = imgs[ru] + pad
+            for img_v, cb in reps.values():
+                sums[ids[index[img_v.translate(table)]]] += ca * cb
+        pairs = enumerate([sums[c] for c in ids])
+    else:
+        acc: dict[int, int] = {}
+        terms = [(imgs[rv], cb) for rv, cb in bterms.items()]
+        for ru, ca in aterms.items():
+            table = imgs[ru] + pad
+            for img_v, cb in terms:
+                r = index[img_v.translate(table)]
                 acc[r] = acc.get(r, 0) + ca * cb
         pairs = acc.items()
     return _canonical(n, a.field, pairs, a._den * b._den)
@@ -467,10 +431,11 @@ def _row_blocks(rows: tuple[int, ...]) -> bytes:
 @lru_cache(maxsize=None)
 def _board_ranks(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     """Lex ranks, ascending, of the w in S_n with w(i + 1) - 1 in the column
-    bitmask rows[i] for every i.  Up to MUL_TABLE_MAX_N they are the members
+    bitmask rows[i] for every i.  Up to ENUMERATION_CAP they are the members
     of the cosets of the Young subgroup of equal rows whose images fit in
-    the rows; beyond, the depth-first search finds them."""
-    if n > MUL_TABLE_MAX_N:
+    the rows; beyond, where n! tables are too large, the depth-first search
+    finds them."""
+    if n > ENUMERATION_CAP:
         return tuple(_board_dfs(n, rows))
     blocks = _row_blocks(rows)
     _, images, members = _coset_ids(n, blocks)
@@ -489,10 +454,11 @@ def _rook_sum(n: int, rows: tuple[int, ...], field) -> AlgebraElement:
     """The sum of the board with column bitmask rows[i] at position i.
     Swapping two positions of equal rows maps the board onto itself, so the
     element keeps the classes of equal rows, labelled by first appearance,
-    as its right Young subgroup; with no equal rows it keeps none."""
+    as its right Young subgroup; with no equal rows, or beyond
+    ENUMERATION_CAP where `mul` builds no coset tables, it keeps none."""
     a = AlgebraElement._raw(n, field, dict.fromkeys(_board_ranks(n, rows), 1))
     blocks = _row_blocks(rows)
-    if len(set(blocks)) < n:
+    if n <= ENUMERATION_CAP and len(set(blocks)) < n:
         a._blocks = blocks
     return a
 

@@ -450,10 +450,7 @@ def kappa_rows(n: int) -> Iterator[tuple[int, int, int]]:
 
 def minpol_table(n: int, cap: int = MINPOL_TABLE_MAX_N) -> list[tuple[int, int, int, MinimalPolynomial]]:
     """Rows (a, b, c, minimal polynomial of kappa(n, a, b, c)) over Q."""
-    if n < 1:
-        raise ValueError("table needs n >= 1")
-    if n > cap:
-        raise ValueError(f"minimal polynomial table capped at n = {cap}, got {n}")
+    _check_n_range(n, cap)
     rows = []
     for a, b, c in kappa_rows(n):
         poly = element_min_poly(kappa(n, a, b, c))

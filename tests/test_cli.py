@@ -172,6 +172,8 @@ def test_cap_violation_exits_2(capsys):
         (["annihilators", "--n", "6", "--k", "2"], 6, 5),
         (["dalg-stats", "--n", "7"], 7, 5),
         (["product-fuzz", "--n", "9"], 9, 8),
+        (["minpol-table", "--n", "7"], 7, 6),
+        (["minpol-table", "--n", "0"], 0, 6),
     ):
         code = main(argv)
         captured = capsys.readouterr()

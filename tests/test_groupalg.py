@@ -5,19 +5,19 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd
+from operator import itemgetter
 
 import pytest
 
 from snalg.exactla import GF, QQ
 from snalg.groupalg import (
-    MUL_TABLE_MAX_N,
     AlgebraElement,
     MinimalPolynomial,
     _board_dfs,
     _board_ranks,
     _coset_ids,
-    _mul_table,
     add,
     antipode,
     board_sum,
@@ -29,7 +29,15 @@ from snalg.groupalg import (
     scale,
     sign_twist,
 )
-from snalg.perm import Permutation, all_permutations, compose, identity, inverse, sign
+from snalg.perm import (
+    ENUMERATION_CAP,
+    Permutation,
+    all_permutations,
+    compose,
+    identity,
+    inverse,
+    sign,
+)
 from snalg.rook import Subset, nabla, nabla_tilde
 from snalg.setdecomp import SetDecomposition, act, antisymmetrizer, row_sum, tuple_sum
 
@@ -69,6 +77,21 @@ def test_size_and_field_mismatch_errors():
 def test_mul_on_basis_matches_composition():
     for u in all_permutations(4):
         for v in all_permutations(4):
+            prod = mul(AlgebraElement.from_perm(u), AlgebraElement.from_perm(v))
+            assert prod == AlgebraElement.from_perm(compose(u, v))
+    # u against many v at once: v carries the coefficient of its place in
+    # the list, so each product uv must land on its own coefficient
+    rng = random.Random(41)
+    for n in range(5, 9):
+        perms = list(all_permutations(n)) if n < 7 else [
+            Permutation.unrank(n, r) for r in rng.sample(range(factorial(n)), 720)
+        ]
+        b = AlgebraElement(n, QQ, [(v, i + 1) for i, v in enumerate(perms)])
+        # every u at n = 5, 20 at n = 6, 3 at n = 7 and 8
+        for u in perms if n == 5 else rng.sample(perms, 20 if n == 6 else 3):
+            want = AlgebraElement(n, QQ, [(compose(u, v), i + 1) for i, v in enumerate(perms)])
+            assert mul(AlgebraElement.from_perm(u), b) == want, (n, u)
+            v = rng.choice(perms)
             prod = mul(AlgebraElement.from_perm(u), AlgebraElement.from_perm(v))
             assert prod == AlgebraElement.from_perm(compose(u, v))
 
@@ -128,51 +151,71 @@ def test_mul_over_prime_field_matches_reduction():
 
 
 def _compose_product(a, b):
-    """The product by a double loop over perm.compose, independent of mul."""
+    """The product by a double loop over perm.compose, independent of mul;
+    it unranks only the terms, so it stays cheap at n = 9."""
+    n = a.n
+    vs = [(Permutation.unrank(n, rv), cb) for rv, cb in b._terms.items()]
     acc = {}
-    for u, ca in a.items():
-        for v, cb in b.items():
+    for ru, ca in a._terms.items():
+        u = Permutation.unrank(n, ru)
+        for v, cb in vs:
             r = compose(u, v).rank()
             acc[r] = acc.get(r, 0) + ca * cb
-    return AlgebraElement(a.n, a.field, acc)
+    den = a._den * b._den
+    return AlgebraElement(n, a.field, [(r, Fraction(c, den)) for r, c in acc.items()])
 
 
 def test_mul_beyond_table_matches_compose():
-    n = MUL_TABLE_MAX_N + 1
     rng = random.Random(7)
-    for field in (QQ, GF(5)):
-        for _ in range(4):
-            a = random_element(rng, n, field, max_terms=6)
-            b = random_element(rng, n, field, max_terms=6)
-            assert mul(a, b) == _compose_product(a, b)
-        # (1 - s)(1 + s) = 1 - s^2 = 0 for a transposition s: every term cancels
-        one = AlgebraElement.one(n, field)
-        s = AlgebraElement.from_perm(Permutation([2, 1] + list(range(3, n + 1))), field)
-        assert mul(one - s, one + s).is_zero()
-        assert _compose_product(one - s, one + s).is_zero()
+    for n in (7, 8, 9):
+        for field in (QQ, GF(5)):
+            for _ in range(4):
+                a = random_element(rng, n, field, max_terms=6)
+                b = random_element(rng, n, field, max_terms=6)
+                assert mul(a, b) == _compose_product(a, b)
+            # (1 - s)(1 + s) = 1 - s^2 = 0 for a transposition s: every term cancels
+            one = AlgebraElement.one(n, field)
+            s = AlgebraElement.from_perm(Permutation([2, 1] + list(range(3, n + 1))), field)
+            assert mul(one - s, one + s).is_zero()
+            assert _compose_product(one - s, one + s).is_zero()
+            if n > ENUMERATION_CAP:
+                continue
+            # rook sums on the right run the coset branch up to the cap
+            for size in (2, n // 2):
+                B, A = _random_subset(rng, n, size), _random_subset(rng, n, size)
+                rook = nabla(B, A, field)
+                assert rook._blocks is not None
+                a = random_element(rng, n, field, max_terms=6)
+                assert mul(a, rook) == _compose_product(a, rook), (n, field, size)
 
 
-def test_mul_table_matches_compose():
-    for n in range(1, MUL_TABLE_MAX_N + 1):
-        perms = list(all_permutations(n))
-        mt = _mul_table(n)
-        # every row below n = 6, every 37th row at n = 6
-        for ru in range(0, len(perms), 37 if n == 6 else 1):
-            want = [compose(perms[ru], v).rank() for v in perms]
-            assert list(mt[ru]) == want
+@lru_cache(maxsize=None)
+def _lex_images(n):
+    """The 0-based image tuples of S_n in lex order, straight from
+    itertools, each with the fixed point n appended so that itemgetter
+    returns a tuple even at n = 1, and the lex rank of each."""
+    images = [w + (n,) for w in itertools.permutations(range(n))]
+    return images, {w: r for r, w in enumerate(images)}
+
+
+@lru_cache(maxsize=None)
+def _product_row(n, ru):
+    """The lex rank of (rank ru)(rank rv) for every rv: the image of uv is
+    u read at each entry of v."""
+    images, ranks = _lex_images(n)
+    return [ranks[itemgetter(*v)(images[ru])] for v in images]
 
 
 def _double_loop_product(a, b):
     """The product by a double loop over every pair of terms, independent
-    of the coset path of mul."""
-    mt = _mul_table(a.n)
-    acc = {}
+    of mul."""
+    acc = [0] * factorial(a.n)
     for ru, ca in a._terms.items():
-        row = mt[ru]
+        row = _product_row(a.n, ru)
         for rv, cb in b._terms.items():
-            acc[row[rv]] = acc.get(row[rv], 0) + ca * cb
+            acc[row[rv]] += ca * cb
     den = a._den * b._den
-    return AlgebraElement(a.n, a.field, [(r, Fraction(c, den)) for r, c in acc.items()])
+    return AlgebraElement(a.n, a.field, [(r, Fraction(c, den)) for r, c in enumerate(acc) if c])
 
 
 def _random_subset(rng, n, size=None):
@@ -225,7 +268,7 @@ def _left_factors(rng, n, field):
 def test_coset_mul_matches_double_loop():
     rng = random.Random(307)
     fractional = 0
-    for n in range(1, MUL_TABLE_MAX_N + 1):
+    for n in range(1, 7):
         for field in (QQ, GF(2), GF(3)):
             for _ in range(2 if n < 6 else 1):
                 for name, b in _rook_sums(rng, n, field).items():
@@ -281,7 +324,7 @@ def _set_partitions(n):
 
 def test_coset_tables_are_young_subgroup_cosets():
     rng = random.Random(313)
-    for n in range(1, MUL_TABLE_MAX_N + 1):
+    for n in range(1, 7):
         perms = list(all_permutations(n))
         partitions = _set_partitions(n)
         # every partition up to n = 5, 15 of the 203 at n = 6
@@ -437,9 +480,10 @@ def test_board_sum_matches_filter_on_random_boards():
 
 
 def test_board_ranks_are_sorted_lex_ranks():
-    # n <= MUL_TABLE_MAX_N reads coset tables, n = 7 runs the depth-first search
+    # n <= ENUMERATION_CAP reads coset tables, checked against the
+    # depth-first search, which runs by itself only beyond the cap
     rng = random.Random(152)
-    for n in range(1, MUL_TABLE_MAX_N + 2):
+    for n in range(1, ENUMERATION_CAP + 1):
         full = (1 << n) - 1
         boards = [(full,) * n] + [
             tuple(rng.randrange(1 << n) | rng.choice((0, full)) for _ in range(n))
@@ -452,24 +496,49 @@ def test_board_ranks_are_sorted_lex_ranks():
                 masks.append(rng.choice((0, full, masks[0] | rng.randrange(1 << n))))
                 boards.append(tuple(rng.choice(masks) for _ in range(n)))
         for rows in boards:
-            ranks = _board_ranks(n, rows)
+            ranks = list(_board_ranks(n, rows))
+            assert ranks == _board_dfs(n, rows)
+            if n == ENUMERATION_CAP:
+                continue  # a filter over all 8! per board is slow: the DFS is the reference
             want = [
                 Permutation(w).rank()
                 for w in itertools.permutations(range(1, n + 1))
                 if all(rows[i] >> (w[i] - 1) & 1 for i in range(n))
             ]
-            assert list(ranks) == sorted(want)
-            assert _board_dfs(n, rows) == sorted(want)
+            assert ranks == sorted(want)
     assert _board_ranks(4, (15,) * 4) == tuple(range(24))
     assert _board_ranks(3, (3, 0, 3)) == ()
     # every nabla and nabla_tilde board, sizes of B and A equal or not
-    for n in range(1, MUL_TABLE_MAX_N + 1):
+    for n in range(1, 7):
         full = (1 << n) - 1
         for bmask in range(1 << n):
             for amask in range(1 << n):
                 for rest in (full ^ bmask, full):
                     rows = tuple(bmask if amask >> i & 1 else rest for i in range(n))
                     assert list(_board_ranks(n, rows)) == _board_dfs(n, rows)
+    # beyond the cap: a sparse n = 9 board with equal rows, listed by the
+    # depth-first search, keeps no Young subgroup and multiplies pair by pair
+    n = 9
+    pairs = ((1, 2), (3, 4), (8, 9))
+    board = [(i, j) for p in pairs for i in p for j in p] + [(5, 5), (6, 6), (7, 7), (7, 6)]
+    rows = [0] * n
+    for i, j in board:
+        rows[i - 1] |= 1 << (j - 1)
+    want = []
+    for flips in itertools.product((False, True), repeat=len(pairs)):
+        img = list(range(1, n + 1))
+        for (i, j), flip in zip(pairs, flips):
+            if flip:
+                img[i - 1], img[j - 1] = j, i
+        want.append(Permutation(img))
+    assert list(_board_ranks(n, tuple(rows))) == sorted(w.rank() for w in want)
+    rook = board_sum(n, board)
+    assert rook._blocks is None
+    assert rook == AlgebraElement(n, QQ, [(w, 1) for w in want])
+    a = AlgebraElement(n, QQ, [(w, Fraction(i + 1, 2)) for i, w in enumerate(want[1:4])])
+    a = a + AlgebraElement.from_perm(Permutation([9, 1, 2, 3, 4, 5, 6, 7, 8]), QQ, 3)
+    assert mul(a, rook) == _compose_product(a, rook)
+    assert mul(rook, a) == _compose_product(rook, a)
 
 
 def test_derangement_board_sum_is_central():
