@@ -415,11 +415,7 @@ def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
     dim = d_dim(n)
     aug = SpanBasis(field, dim + 1)
     for cols, rhs in _unity_equations(n):
-        row = [0] * (dim + 1)
-        for s, m in cols.items():
-            row[s] = m
-        row[dim] = rhs
-        aug.insert(row)
+        aug.insert({**cols, dim: rhs})
         if dim in aug.pivots:
             return None
         if aug.rank() == dim:
@@ -456,13 +452,10 @@ def center_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
     for i in range(dim):
         right, left = _multiplication_columns(n, i)
         for t in set(right) | set(left):
-            row = [0] * dim
-            for s, m in right.get(t, {}).items():
-                row[s] = m
+            row = dict(right.get(t, {}))
             for s, m in left.get(t, {}).items():
-                row[s] -= m
-            if any(row):
-                span.insert(row)
+                row[s] = row.get(s, 0) - m
+            span.insert(row)
     return dim - span.rank()
 
 

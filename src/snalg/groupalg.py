@@ -208,13 +208,11 @@ class AlgebraElement:
 
     def items(self) -> Iterator[tuple[Permutation, object]]:
         """(permutation, coefficient) pairs in lex order."""
-        perms = permutation_basis(self.n)
         for r in sorted(self._terms):
-            yield perms[r], _scalar(self.field, self._terms[r], self._den)
+            yield Permutation.unrank(self.n, r), _scalar(self.field, self._terms[r], self._den)
 
     def support(self) -> list[Permutation]:
-        perms = permutation_basis(self.n)
-        return [perms[r] for r in sorted(self._terms)]
+        return [Permutation.unrank(self.n, r) for r in sorted(self._terms)]
 
     def coeff(self, w: Permutation) -> object:
         if w.n != self.n:
@@ -658,7 +656,8 @@ def element_min_poly(a: AlgebraElement) -> MinimalPolynomial:
     span = SpanBasis(a.field, 2 * dim + 1)
     power = AlgebraElement.one(a.n, a.field)
     for m in range(dim + 1):
-        dep = span.insert_tagged(power.to_vector(), m)
+        # den·[power | e_m], from the integer terms
+        dep = span.insert_tagged({**power._terms, dim + m: power._den}, m, dim)
         if dep is not None:
             return MinimalPolynomial(dep)
         power = mul(power, a)

@@ -10,6 +10,14 @@ index, support only lex-above).  The verification routines check, in exact
 arithmetic, the rank formulas, mutual annihilation, orthogonality, the
 direct-sum decomposition when n! is invertible, quotient bases, antipode
 stability, and spanning of sampled generators.
+
+Each basis is built once per process for each (kind, n, k, field) and kept
+in the private dict `_bases`; the builders stay plain functions that look
+it up.  A basis reduces its span on the first `IdealBasis.span()` call,
+from each element's integer terms (a nonzero multiple of the element, so
+the same line), and hands out copies, so a caller may extend its copy.
+The avoider lists come from `perm`, which keeps one table of monotone
+subsequence lengths per n.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import random
 from math import factorial
 
-from snalg.exactla import QQ, SpanBasis, span_intersection_dim
+from snalg.exactla import QQ, SpanBasis, span_intersection_dim, span_sum_rank
 from snalg.groupalg import (
     AlgebraElement,
     antipode,
@@ -63,6 +71,9 @@ __all__ = [
 BASIS_CAP = 6
 VERIFY_CAP = 5
 
+# the bases built so far, by (kind, n, k, field)
+_bases: dict[tuple, "IdealBasis"] = {}
+
 
 class IdealBasis:
     """A triangular basis of I_k, J_k, or a sign-twisted copy.
@@ -72,7 +83,7 @@ class IdealBasis:
     so the family is linearly independent by inspection.
     """
 
-    __slots__ = ("n", "k", "field", "kind", "elements", "leaders")
+    __slots__ = ("n", "k", "field", "kind", "elements", "leaders", "_span")
 
     def __init__(self, n, k, field, kind, elements, leaders):
         if kind not in ("I", "J", "sign-twisted-I", "sign-twisted-J"):
@@ -83,6 +94,7 @@ class IdealBasis:
         self.kind = kind
         self.elements = tuple(elements)
         self.leaders = tuple(leaders)
+        self._span = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -91,10 +103,13 @@ class IdealBasis:
         return iter(self.elements)
 
     def span(self) -> SpanBasis:
-        s = SpanBasis(self.field, factorial(self.n))
-        for e in self.elements:
-            s.insert(e.to_vector())
-        return s
+        """The span of the elements, reduced on the first call and handed
+        out as a copy."""
+        if self._span is None:
+            self._span = SpanBasis(self.field, factorial(self.n))
+            for e in self.elements:
+                self._span.insert(e._terms)
+        return self._span.copy()
 
     def __repr__(self) -> str:
         return (
@@ -125,8 +140,11 @@ def increasing_witness(v: Permutation, k: int) -> Subset:
 def build_I_basis(n: int, k: int, field=QQ, cap: int = BASIS_CAP) -> IdealBasis:
     """Triangular basis of I_k: one row-to-row sum per permutation avoiding
     an increasing (k+1)-subsequence, built from its strictly-decreasing
-    block decomposition."""
+    block decomposition.  Built once per (n, k, field)."""
     _check_n_range(n, cap)
+    key = ("I", n, k, field)
+    if key in _bases:
+        return _bases[key]
     elements = []
     leaders = []
     for v in enumerate_av(n, k + 1):
@@ -134,14 +152,18 @@ def build_I_basis(n: int, k: int, field=QQ, cap: int = BASIS_CAP) -> IdealBasis:
         B = act(v, A)
         elements.append(row_sum(B, A, field))
         leaders.append(v)
-    return IdealBasis(n, k, field, "I", elements, leaders)
+    _bases[key] = IdealBasis(n, k, field, "I", elements, leaders)
+    return _bases[key]
 
 
 def build_J_basis(n: int, k: int, field=QQ, cap: int = BASIS_CAP) -> IdealBasis:
     """Triangular basis of J_k: one element v·∇_U⁻ per permutation v that
     contains an increasing (k+1)-subsequence, with U the deterministic
-    smallest witness subset."""
+    smallest witness subset.  Built once per (n, k, field)."""
     _check_n_range(n, cap)
+    key = ("J", n, k, field)
+    if key in _bases:
+        return _bases[key]
     elements = []
     leaders = []
     if k < n:
@@ -152,7 +174,8 @@ def build_J_basis(n: int, k: int, field=QQ, cap: int = BASIS_CAP) -> IdealBasis:
             U = increasing_witness(v, k)
             elements.append(mul(AlgebraElement._raw(n, field, {r: 1}), antisymmetrizer(U, field)))
             leaders.append(v)
-    return IdealBasis(n, k, field, "J", elements, leaders)
+    _bases[key] = IdealBasis(n, k, field, "J", elements, leaders)
+    return _bases[key]
 
 
 def sign_twisted(basis: IdealBasis) -> IdealBasis:
@@ -171,13 +194,6 @@ def sign_twisted(basis: IdealBasis) -> IdealBasis:
         [sign_twist(e) for e in basis.elements],
         basis.leaders,
     )
-
-
-def _unit_vector(n_fact: int, r: int) -> list[int]:
-    """e_r as an int list, which `SpanBasis` takes as is over either field."""
-    v = [0] * n_fact
-    v[r] = 1
-    return v
 
 
 def _random_perm(rng: random.Random, n: int) -> Permutation:
@@ -204,7 +220,7 @@ def _annihilation_certificate(ibasis: IdealBasis, ispan: SpanBasis, aX: AlgebraE
         for i in range(1, n)
     ]
     return all(
-        ispan.contains(mul(s, e).to_vector()) and ispan.contains(mul(e, s).to_vector())
+        ispan.contains(mul(s, e)._terms) and ispan.contains(mul(e, s)._terms)
         for e in ibasis.elements
         for s in gens
     ) and all(mul(e, aX).is_zero() and mul(aX, e).is_zero() for e in ibasis.elements)
@@ -234,7 +250,7 @@ def _completion_rank(basis: IdealBasis, span: SpanBasis, added) -> int:
             return n_fact
     total = span.copy()
     for r in added:
-        total.insert(_unit_vector(n_fact, r))
+        total.insert({r: 1})
     return total.rank()
 
 
@@ -296,14 +312,12 @@ def verify_row_main(
 
     # (iv) direct sum decomposition, valid when n! is invertible.
     if field.characteristic == 0 or factorial(n) % field.characteristic:
-        total = ispan.copy()
-        for e in jbasis.elements:
-            total.insert(e.to_vector())
-        inter = ispan.rank() + jspan.rank() - total.rank()
+        total = span_sum_rank(ispan, jspan)
+        inter = ispan.rank() + jspan.rank() - total
         rep.add(
             "direct_sum",
-            total.rank() == n_fact and inter == 0,
-            note=f"sum rank {total.rank()}, intersection {inter}",
+            total == n_fact and inter == 0,
+            note=f"sum rank {total}, intersection {inter}",
         )
     else:
         rep.skip("direct_sum", f"hypothesis n! invertible fails in {field.name}")
@@ -316,7 +330,7 @@ def verify_row_main(
             A = random_set_composition(rng, n, k)
             w = _random_perm(rng, n)
             B = act(w, A)
-            if not ispan.contains(row_sum(B, A, field).to_vector()):
+            if not ispan.contains(row_sum(B, A, field)._terms):
                 ok, witness = False, f"row_sum({B}, {A})"
                 break
         rep.add("sampled_row_sums_in_I", ok, witness=witness)
@@ -329,7 +343,7 @@ def verify_row_main(
             U = Subset(n, rng.sample(range(1, n + 1), k + 1))
             v = _random_perm(rng, n)
             elt = mul(AlgebraElement.from_perm(v, field), antisymmetrizer(U, field))
-            if not jspan.contains(elt.to_vector()):
+            if not jspan.contains(elt._terms):
                 ok, witness = False, f"{v.oln}*antisym({U})"
                 break
         rep.add("sampled_generators_in_J", ok, witness=witness)
@@ -348,8 +362,8 @@ def verify_row_main(
 
     # (vii) the antipode preserves both spans.
     antipode_ok = all(
-        ispan.contains(antipode(e).to_vector()) for e in ibasis.elements
-    ) and all(jspan.contains(antipode(e).to_vector()) for e in jbasis.elements)
+        ispan.contains(antipode(e)._terms) for e in ibasis.elements
+    ) and all(jspan.contains(antipode(e)._terms) for e in jbasis.elements)
     rep.add("antipode_stability", antipode_ok)
 
     # (viii) J_k is the two-sided ideal of a single (k+1)-antisymmetrizer.
@@ -366,7 +380,7 @@ def verify_row_main(
         for w in permutation_basis(n):
             we = AlgebraElement.from_perm(w, field)
             for prod, tag in ((mul(we, aX), "left"), (mul(aX, we), "right")):
-                vec = prod.to_vector()
+                vec = prod._terms
                 if not jspan.contains(vec):
                     ok, witness = False, f"{tag} product by {w.oln}"
                     break
@@ -380,7 +394,7 @@ def verify_row_main(
                 AlgebraElement.from_perm(u, field),
                 mul(aX, AlgebraElement.from_perm(v, field)),
             )
-            vec = prod.to_vector()
+            vec = prod._terms
             if not jspan.contains(vec):
                 ok, witness = False, f"{u.oln}*antisym({X})*{v.oln}"
                 break
@@ -447,7 +461,7 @@ def tuple_sum_span_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Rep
         # J_m for negative m is the whole algebra: no avoidance constraint.
         tjspan = SpanBasis(field, n_fact)
         for r in range(n_fact):
-            tjspan.insert(_unit_vector(n_fact, r))
+            tjspan.insert({r: 1})
     tuples = [()]
     for _ in range(k):
         tuples = [t + (x,) for t in tuples for x in range(1, n + 1)]
@@ -456,7 +470,7 @@ def tuple_sum_span_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Rep
     witness = None
     for a in tuples:
         for b in tuples:
-            vec = tuple_sum(b, a, n, field).to_vector()
+            vec = tuple_sum(b, a, n, field)._terms
             if not tjspan.contains(vec):
                 ok, witness = False, f"tuple_sum({b}, {a})"
                 break
@@ -485,7 +499,7 @@ def twin_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Report:
     total = build_I_basis(n, k, field, cap).span()
     for r in range(n_fact):
         if r not in primes:
-            total.insert(_unit_vector(n_fact, r))
+            total.insert({r: 1})
     rep.add("twin_quotient_basis", total.rank() == n_fact, note=f"rank {total.rank()}")
     return rep
 
@@ -498,7 +512,7 @@ def mixed_quotient_check(n: int, k: int, l: int, field=QQ, cap: int = VERIFY_CAP
     n_fact = factorial(n)
     s = build_I_basis(n, k, field, cap).span()
     for e in sign_twisted(build_J_basis(n, l, field, cap)).elements:
-        s.insert(e.to_vector())
+        s.insert(e._terms)
     avoiders = {v.rank() for v in enumerate_av(n, k + 1)}
     index_set = sorted(
         r for r in (v.rank() for v in enumerate_av_prime(n, l + 1)) if r not in avoiders
@@ -512,7 +526,7 @@ def mixed_quotient_check(n: int, k: int, l: int, field=QQ, cap: int = VERIFY_CAP
     )
     total = s.copy()
     for r in index_set:
-        total.insert(_unit_vector(n_fact, r))
+        total.insert({r: 1})
     rep.add("residues_complete", total.rank() == n_fact, note=f"rank {total.rank()}")
     return rep
 

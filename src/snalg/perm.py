@@ -3,8 +3,9 @@
 Provides the group operations (compose, inverse, sign), the lexicographic
 order on one-line notations, longest monotone subsequence lengths, the
 enumerations Av_n(m) / Av'_n(m) of permutations avoiding an increasing
-(resp. decreasing) run of length m, and the block decomposition that sorts
-positions by the length of the longest increasing subsequence ending there.
+(resp. decreasing) run of length m, read off one cached table of both
+lengths per n, and the block decomposition that sorts positions by the
+length of the longest increasing subsequence ending there.
 
 Positions and values are 1-indexed in all inputs and outputs (matching the
 usual one-line notation); storage is 0-indexed.
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 8
+
+_monotone_tables: dict[int, tuple[bytes, bytes]] = {}
 
 
 class Permutation:
@@ -193,14 +196,29 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation._from_zero(img)
 
 
+def _longest_increasing(values: Iterable[int]) -> int:
+    """Length of the longest strictly increasing subsequence, by patience
+    sorting: tails[i] is the smallest last value of an increasing
+    subsequence of length i + 1 seen so far."""
+    tails: list[int] = []
+    for v in values:
+        i = bisect_left(tails, v)
+        if i == len(tails):
+            tails.append(v)
+        else:
+            tails[i] = v
+    return len(tails)
+
+
 def lis_length(w: Permutation) -> int:
     """Length of the longest strictly increasing subsequence of w(1..n)."""
-    return max(lis_ending_lengths(w), default=0)
+    return _longest_increasing(w._img)
 
 
 def lds_length(w: Permutation) -> int:
-    """Length of the longest strictly decreasing subsequence of w(1..n)."""
-    return lis_length(Permutation._from_zero(w._img[::-1]))
+    """Length of the longest strictly decreasing subsequence of w(1..n):
+    the longest increasing one of the image read backwards."""
+    return _longest_increasing(reversed(w._img))
 
 
 def avoids_incr(w: Permutation, m: int) -> bool:
@@ -228,16 +246,37 @@ def _check_n_range(n: int, cap: int) -> None:
         raise ValueError(f"n = {n} outside supported range 1..{cap}")
 
 
+def _monotone_lengths(n: int) -> tuple[bytes, bytes]:
+    """The longest increasing and the longest decreasing subsequence
+    length of every permutation of [n], in lex order; built once per n."""
+    if n not in _monotone_tables:
+        perms = list(all_permutations(n))
+        _monotone_tables[n] = bytes(map(lis_length, perms)), bytes(map(lds_length, perms))
+    return _monotone_tables[n]
+
+
+def _avoiders(n: int, m: int, cap: int, decreasing: bool) -> list[Permutation]:
+    """All w in S_n, in lex order, whose longest increasing (decreasing)
+    subsequence is shorter than m."""
+    _check_cap(n, cap)
+    if m < 1:
+        raise ValueError("pattern length must be >= 1")
+    lengths = _monotone_lengths(n)[decreasing]
+    return [
+        Permutation._from_zero(img)
+        for img, length in zip(_itpermutations(range(n)), lengths)
+        if length < m
+    ]
+
+
 def enumerate_av(n: int, m: int, cap: int = ENUMERATION_CAP) -> list[Permutation]:
     """All w in S_n avoiding an increasing run of length m, in lex order."""
-    _check_cap(n, cap)
-    return [w for w in all_permutations(n) if avoids_incr(w, m)]
+    return _avoiders(n, m, cap, False)
 
 
 def enumerate_av_prime(n: int, m: int, cap: int = ENUMERATION_CAP) -> list[Permutation]:
     """All w in S_n avoiding a decreasing run of length m, in lex order."""
-    _check_cap(n, cap)
-    return [w for w in all_permutations(n) if avoids_decr(w, m)]
+    return _avoiders(n, m, cap, True)
 
 
 def lis_ending_lengths(w: Permutation) -> list[int]:

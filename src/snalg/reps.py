@@ -311,9 +311,10 @@ def apply_element(action: ModuleAction, a: AlgebraElement) -> list[list]:
 
 
 def _image_rank(action: ModuleAction, perms, field) -> int:
-    span = SpanBasis(field, action.dim * action.dim)
+    d = action.dim
+    span = SpanBasis(field, d * d)
     for w in perms:
-        span.insert(action.vectorized(w))
+        span.insert({i * d + t: 1 for t, i in enumerate(action.index_action(w))})
     return span.rank()
 
 
@@ -439,7 +440,7 @@ def specht_annihilation_check(n: int, k: int, field=QQ, cap: int = SPECHT_CAP) -
         c = mul(a, b)
         span = SpanBasis(field, factorial(n))
         for w in permutation_basis(n):
-            span.insert(mul(AlgebraElement.from_perm(w, field), c).to_vector())
+            span.insert(mul(AlgebraElement.from_perm(w, field), c)._terms)
         span_ranks[str(lam)] = span.rank()
         if lam.length > k:
             name, basis = "I", ibasis

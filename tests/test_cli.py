@@ -292,3 +292,17 @@ def test_stdout_matches_recorded_bytes(capsys, name, fmt, ext):
     code, out = run(capsys, *GUARDED[name], "--format", fmt)
     assert code == 0
     assert out == want
+
+
+def test_ideal_goldens_match_in_reverse_order_with_a_warm_cache(capsys):
+    # the ideal bases and their spans are built once per process; a later
+    # command reads them warm, so every order must print the same bytes
+    names = sorted(n for n in GUARDED if n.startswith(("ideal_suite", "mixed_quotient")))
+    cases = [(name, fmt, ext) for name in names for fmt, ext in (("text", "txt"), ("json", "json"))]
+    for name, fmt, _ in cases:
+        run(capsys, *GUARDED[name], "--format", fmt)
+    for name, fmt, ext in reversed(cases):
+        want = (Path(__file__).parent / "data" / f"{name}.{ext}").read_text()
+        code, out = run(capsys, *GUARDED[name], "--format", fmt)
+        assert code == 0
+        assert out == want, (name, fmt)

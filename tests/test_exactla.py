@@ -278,7 +278,7 @@ def test_span_rows_over_q_are_primitive_integers():
     for _ in range(5):
         s.insert(random_rational_vector(rng, 6))
     assert s.rank() == 5
-    for row, pc in zip(s._rows, s.pivots):
+    for pc, row in s._rows.items():
         assert min(row) == pc
         assert all(type(x) is int and x for x in row.values())
         assert gcd(*row.values()) == 1 and row[pc] > 0
@@ -355,7 +355,7 @@ def test_span_rows_over_fp_are_sparse_with_pivot_one(p):
     for _ in range(12):
         s.insert(random_fp_vector(rng, p, 7))
     assert s.rank() >= 1
-    for row, pc in zip(s._rows, s.pivots):
+    for pc, row in s._rows.items():
         assert min(row) == pc and row[pc] == 1
         assert all(type(x) is int and 0 < x < p for x in row.values())
         assert not any(opc in row for opc in s.pivots if opc != pc)
@@ -487,3 +487,88 @@ def test_min_poly_matches_recorded_krylov_dependencies():
         assert min_dependency(vectors) == want
         with pytest.raises(ExtendRequired):
             min_dependency(vectors[:-1])
+
+
+def _sparse(v, rng):
+    """v as a {column: entry} dict, in random key order, with some of its
+    zero entries kept as explicit zeros."""
+    keys = [j for j, x in enumerate(v) if x or rng.random() < 0.3]
+    rng.shuffle(keys)
+    return {j: v[j] for j in keys}
+
+
+@pytest.mark.parametrize(
+    "field, kind",
+    [(QQ, "int"), (QQ, "fraction"), (GF(7), "int")],
+    ids=["Q-int", "Q-fraction", "GF7"],
+)
+def test_sparse_entry_matches_dense_entry(field, kind):
+    p = field.characteristic
+    rng = random.Random(17 + p + len(kind))
+    for _ in range(30):
+        ncols = rng.randint(1, 9)
+        if p:
+            vectors = [random_fp_vector(rng, p, ncols, 0.4) for _ in range(rng.randint(1, 9))]
+        elif kind == "int":
+            vectors = [
+                [rng.randint(-5, 5) if rng.random() < 0.4 else 0 for _ in range(ncols)]
+                for _ in range(rng.randint(1, 9))
+            ]
+        else:
+            vectors = [random_rational_vector(rng, ncols, density=0.4) for _ in range(rng.randint(1, 9))]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            vectors.append([x + 2 * y for x, y in zip(a, b)])
+        dense, sparse = SpanBasis(field, ncols), SpanBasis(field, ncols)
+        for v in vectors:
+            assert dense.insert(v) == sparse.insert(_sparse(v, rng))
+        assert sparse.rank() == dense.rank()
+        assert sparse.pivots == dense.pivots
+        assert sparse.rows == dense.rows
+        assert sparse.kernel() == dense.kernel()
+        assert sparse == dense
+        for _ in range(5):
+            probe = (random_fp_vector(rng, p, ncols, 0.4) if p
+                     else random_rational_vector(rng, ncols, density=0.4))
+            assert sparse.contains(_sparse(probe, rng)) == dense.contains(probe)
+            assert sparse.contains(probe) == dense.contains(probe)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_sparse_entry_ignores_zeros_and_checks_columns(field):
+    s = SpanBasis(field, 3)
+    assert not s.insert({0: 0, 2: 0})
+    assert s.rank() == 0 and s.contains({1: 0})
+    assert s.insert({1: 2, 0: 0})
+    assert s.pivots == [1] and s.rows == [[0, 1, 0]]
+    for bad in ({3: 1}, {-1: 1}, {0: 1, 5: 0}):
+        with pytest.raises(ValueError, match="column outside"):
+            s.insert(bad)
+        with pytest.raises(ValueError, match="column outside"):
+            s.contains(bad)
+    assert s.rank() == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_sparse_tagged_insert_finds_the_dense_dependency(field):
+    # a sparse input t·[v | e_m], t any nonzero scalar, gives the same
+    # dependency as the dense [v | e_m]
+    p = field.characteristic
+    rng = random.Random(23 + p)
+    for _ in range(20):
+        dim = rng.randint(2, 5)
+        vectors = [
+            [rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(dim)]
+            for _ in range(dim + 2)
+        ]
+        dense = SpanBasis(field, dim + len(vectors))
+        sparse = SpanBasis(field, dim + len(vectors))
+        for m, v in enumerate(vectors):
+            t = rng.choice([1, 2, 3, 5]) * rng.choice([1, -1])
+            tagged = {j: t * x for j, x in enumerate(v) if x}
+            tagged[dim + m] = t
+            dep = dense.insert_tagged(v, m)
+            assert sparse.insert_tagged(tagged, m, dim) == dep
+            assert sparse == dense
+            if dep is not None:
+                break

@@ -565,6 +565,19 @@ def test_json_roundtrip_and_term_order():
     assert AlgebraElement.from_json(b.to_json(), field=f) == b
 
 
+def test_items_of_a_large_element_unrank_only_its_terms(monkeypatch):
+    # listing one term at n = 9 must not build all 9! permutations
+    import snalg.groupalg as groupalg
+
+    monkeypatch.setattr(groupalg, "_perm_cache", {})
+    w = Permutation([3, 1, 4, 9, 5, 2, 6, 8, 7])
+    a = AlgebraElement.from_perm(w, coeff=Fraction(-2, 3))
+    assert list(a.items()) == [(w, Fraction(-2, 3))]
+    assert a.support() == [w]
+    assert repr(a) == "-2/3*[314952687]"
+    assert 9 not in groupalg._perm_cache
+
+
 def test_min_poly_identity():
     p = element_min_poly(AlgebraElement.one(3, QQ))
     assert p.coeffs == (Fraction(-1), Fraction(1))

@@ -148,6 +148,29 @@ class TestBases:
         with pytest.raises(ValueError):
             verify_row_main(6, 2)
 
+    @pytest.mark.parametrize("build", [build_I_basis, build_J_basis], ids=["I", "J"])
+    def test_cached_span_is_handed_out_as_a_copy(self, build):
+        basis = build(4, 2)
+        assert build(4, 2) is basis
+        first = basis.span()
+        rank, rows = first.rank(), first.rows
+        assert rank < 24
+        for r in range(24):
+            first.insert({r: 1})
+        assert first.rank() == 24
+        again = basis.span()
+        assert again is not first
+        assert again.rank() == rank and again.rows == rows
+
+    @pytest.mark.parametrize("build", [build_I_basis, build_J_basis], ids=["I", "J"])
+    def test_cache_keeps_fields_apart(self, build):
+        q, f7 = build(4, 2, QQ), build(4, 2, GF(7))
+        assert q is not f7
+        assert q.field == QQ and f7.field == GF(7)
+        assert all(e.field == QQ for e in q) and all(e.field == GF(7) for e in f7)
+        assert q.span().field == QQ and f7.span().field == GF(7)
+        assert build(4, 2, GF(7)) is f7 and build(4, 2, QQ) is q
+
 
 class TestVerifyRowMain:
     def test_small_rational_cases(self):
@@ -327,6 +350,8 @@ class TestAnnihilationCertificate:
             monkeypatch.setattr(
                 ideals, "antisymmetrizer", lambda U, fld=QQ: sign_twist(antisym(U, fld))
             )
+            # J is built from the patched a_X, not served from the cache
+            monkeypatch.setattr(ideals, "_bases", {})
         rep = verify_row_main(n, k, field)
         want = exhaustive_annihilation_witness(
             ideals.build_I_basis(n, k, field), ideals.build_J_basis(n, k, field)
