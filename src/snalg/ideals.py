@@ -36,10 +36,13 @@ from snalg.groupalg import (
 )
 from snalg.perm import (
     Permutation,
+    _avoider_ranks,
     _check_n_range,
+    compose,
     enumerate_av,
-    enumerate_av_prime,
     erdos_szekeres_decomposition,
+    inverse,
+    lis_length,
     lis_starting_lengths,
 )
 from snalg.report import Report
@@ -167,7 +170,7 @@ def build_J_basis(n: int, k: int, field=QQ, cap: int = BASIS_CAP) -> IdealBasis:
     elements = []
     leaders = []
     if k < n:
-        avoiders = {v.rank() for v in enumerate_av(n, k + 1)}
+        avoiders = _avoider_ranks(n, k + 1, False)
         for r, v in enumerate(permutation_basis(n)):
             if r in avoiders:
                 continue
@@ -210,20 +213,40 @@ def _pair_witness(ibasis: IdealBasis, jbasis: IdealBasis, fails):
     return None
 
 
-def _annihilation_certificate(ibasis: IdealBasis, ispan: SpanBasis, aX: AlgebraElement) -> bool:
-    """Parts (a) and (b) of the annihilation certificate in `verify_row_main`:
-    s·e and e·s lie in `ispan` for every Coxeter generator s and I-basis
-    element e, and e·a_X = a_X·e = 0."""
-    n, field = ibasis.n, ibasis.field
+def _closure_witness(basis: IdealBasis, span: SpanBasis, name: str):
+    """The first of s·e and e·s outside `span`, over the elements e of
+    `basis` and the Coxeter generators s = s_1..s_{n-1}, as text; None if
+    there is none.  The s generate S_n, so None makes `span` a two-sided
+    ideal when it is the span of `basis`."""
+    n, field = basis.n, basis.field
     gens = [
         AlgebraElement.from_perm(Permutation([*range(1, i), i + 1, i, *range(i + 2, n + 1)]), field)
         for i in range(1, n)
     ]
-    return all(
-        ispan.contains(mul(s, e)._terms) and ispan.contains(mul(e, s)._terms)
-        for e in ibasis.elements
-        for s in gens
-    ) and all(mul(e, aX).is_zero() and mul(aX, e).is_zero() for e in ibasis.elements)
+    for v, e in zip(basis.leaders, basis.elements):
+        for i, s in enumerate(gens, 1):
+            if not span.contains(mul(s, e)._terms):
+                return f"s_{i}·{name}[{v.oln}] not in span({name})"
+            if not span.contains(mul(e, s)._terms):
+                return f"{name}[{v.oln}]·s_{i} not in span({name})"
+    return None
+
+
+def _generator_witness(jbasis: IdealBasis, jspan: SpanBasis, aX: AlgebraElement):
+    """Check (viii) of `verify_row_main`: the first part of its argument
+    that does not close, as text; None if all three close."""
+    n, k, field = jbasis.n, jbasis.k, jbasis.field
+    if not jspan.contains(aX._terms):
+        return "a_X not in span(J)"
+    for v, e in zip(jbasis.leaders, jbasis.elements):
+        if lis_length(v) > k:
+            U = increasing_witness(v, k).members
+            sigma = Permutation([*U, *(i for i in range(1, n + 1) if i not in U)])
+            left = AlgebraElement.from_perm(compose(v, sigma), field)
+            if e == mul(mul(left, aX), AlgebraElement.from_perm(inverse(sigma), field)):
+                continue
+        return f"J[{v.oln}] is not (vσ)·a_X·σ⁻¹"
+    return _closure_witness(jbasis, jspan, "J")
 
 
 def _completion_rank(basis: IdealBasis, span: SpanBasis, added) -> int:
@@ -231,23 +254,23 @@ def _completion_rank(basis: IdealBasis, span: SpanBasis, added) -> int:
     vectors at the lex ranks `added`.
 
     It is n! without elimination when the rows are unitriangular: the
-    leaders are distinct and disjoint from `added`, together they are all
-    n! ranks, and each element has coefficient +1 (denominator 1) at its
-    leader, with the rest of its support strictly lex-below the leader for
-    kind "I" and strictly lex-above for kind "J".  Sorted by leader, the
-    rows then form a square triangular matrix with 1 on the diagonal, of
-    full rank over any field.  Otherwise the rank is found by elimination."""
+    leaders are the permutations outside `added`, in lex order, and each
+    element has coefficient +1 (denominator 1) at its leader, with the rest
+    of its support strictly lex-below the leader for kind "I" and strictly
+    lex-above for kind "J".  Sorted by leader, the rows then form a square
+    triangular matrix with 1 on the diagonal, of full rank over any field.
+    Otherwise the rank is found by elimination."""
     n_fact = factorial(basis.n)
     extreme = max if basis.kind == "I" else min
-    ranks = set(added)
-    for v, e in zip(basis.leaders, basis.elements):
-        lead = v.rank()
-        if lead in ranks or e._den != 1 or e._terms.get(lead) != 1 or extreme(e._terms) != lead:
-            break
-        ranks.add(lead)
-    else:
-        if len(ranks) == n_fact:
-            return n_fact
+    perms = permutation_basis(basis.n)
+    added = set(added)
+    leads = [r for r in range(n_fact) if r not in added]
+    rows = list(zip(basis.leaders, basis.elements))
+    if len(rows) == len(leads) and all(
+        v == perms[r] and e._den == 1 and e._terms.get(r) == 1 and extreme(e._terms) == r
+        for (v, e), r in zip(rows, leads)
+    ):
+        return n_fact
     total = span.copy()
     for r in added:
         total.insert({r: 1})
@@ -267,23 +290,31 @@ def verify_row_main(
     invertible), sampled spanning, quotient bases, antipode stability, and
     generation of J_k by a single antisymmetrizer.
 
-    Mutual annihilation (ii) is certified from generators instead of
-    multiplying every pair of basis elements.  With X = {1..k+1}:
-      (a) s·e and e·s lie in span(I) for every Coxeter generator s and
-          I-basis element e; the s generate S_n, so span(I) is a two-sided
-          ideal;
-      (b) e·a_X = a_X·e = 0 for every I-basis element e, hence for every
-          element of span(I);
-      (c) check (viii) passing shows that span(J) is spanned by products
-          u·a_X·v, so span(J) = 𝒜·a_X·𝒜.
+    When these arguments close, no span is reduced beyond span(I), span(J).
+    With X = {1..k+1}, generation (viii) shows span(J) = 𝒜·a_X·𝒜: a_X lies
+    in span(J), and span(J) is closed under the Coxeter generators on both
+    sides (`_closure_witness`), so 𝒜·a_X·𝒜 ⊆ span(J); each J-basis element,
+    led by v with U = `increasing_witness(v, k)`, is (v∘σ)·a_X·σ⁻¹ = v·a_U,
+    where σ lists U and then the rest in ascending order, so σ(X) = U.
+
+    Mutual annihilation (ii) is certified from generators:
+      (a) span(I) is closed under the Coxeter generators, so it is a
+          two-sided ideal;
+      (b) e·a_X = a_X·e = 0 for every I-basis element e;
+      (c) check (viii) passes, so span(J) = 𝒜·a_X·𝒜.
     Then I·J ⊆ (I·𝒜)·a_X·𝒜 ⊆ I·a_X·𝒜 = 0, and J·I ⊆ 𝒜·a_X·(𝒜·I) ⊆
-    𝒜·a_X·I = 0.  When J_k = 0 there is nothing to check.  When the
+    𝒜·a_X·I = 0.  When J_k = 0 there is nothing to check; when the
     certificate does not close, every pair is multiplied, in both orders,
     and the first nonzero product is the witness.
 
     Orthogonality (iii) follows from (ii) and (vii): ⟨e, f⟩ is the
     coefficient of the identity in e·S(f), with S the antipode; (vii) puts
     S(f) in span(J), so e·S(f) = 0.  Otherwise every pair is dotted.
+
+    Direct sum (iv) rests on the same certificate: I ∩ J is a two-sided
+    ideal whose square lies in I·J = 0, and when n! is invertible k[S_n]
+    has no nonzero nilpotent ideal (Maschke), so I ∩ J = 0.  Otherwise the
+    sum is found by elimination.
 
     Quotient bases (vi) pass by the triangular argument of
     `_completion_rank` when it applies, and by elimination otherwise."""
@@ -293,7 +324,8 @@ def verify_row_main(
     rep = Report("verify_row_main", n=n, k=k, field=field.name)
     rng = random.Random(seed)
     n_fact = factorial(n)
-    num_av = len(enumerate_av(n, k + 1))
+    avoiders = _avoider_ranks(n, k + 1, False)
+    num_av = len(avoiders)
 
     ibasis = build_I_basis(n, k, field, cap)
     jbasis = build_J_basis(n, k, field, cap)
@@ -310,9 +342,33 @@ def verify_row_main(
         note=f"I: {ispan.rank()} (expect {num_av}), J: {jspan.rank()} (expect {n_fact - num_av})",
     )
 
-    # (iv) direct sum decomposition, valid when n! is invertible.
-    if field.characteristic == 0 or factorial(n) % field.characteristic:
-        total = span_sum_rank(ispan, jspan)
+    # (ii)-(iv) rest on (vii) and (viii), so those two are decided first.
+    antipode_ok = all(
+        ispan.contains(antipode(e)._terms) for e in ibasis.elements
+    ) and all(jspan.contains(antipode(e)._terms) for e in jbasis.elements)
+    if k < n:
+        aX = antisymmetrizer(Subset(n, range(1, k + 2)), field)
+        generator_witness = _generator_witness(jbasis, jspan, aX)
+    certified = k >= n or (
+        generator_witness is None
+        and _closure_witness(ibasis, ispan, "I") is None
+        and all(mul(e, aX).is_zero() and mul(aX, e).is_zero() for e in ibasis.elements)
+    )
+
+    # (ii) products vanish in both orders: certified, or every pair.
+    witness = None if certified else _pair_witness(
+        ibasis, jbasis, lambda e, f: not (mul(e, f).is_zero() and mul(f, e).is_zero())
+    )
+    annihilates = rep.add("mutual_annihilation", witness is None, witness=witness)
+
+    # (iii) dot products vanish: from (ii) and (vii), or every pair.
+    witness = None if annihilates and antipode_ok else _pair_witness(ibasis, jbasis, dot)
+    rep.add("orthogonality", witness is None, witness=witness)
+
+    # (iv) direct sum decomposition, valid when n! is invertible: from the
+    # certificate, or by elimination.
+    if field.characteristic == 0 or n_fact % field.characteristic:
+        total = ispan.rank() + jspan.rank() if certified else span_sum_rank(ispan, jspan)
         inter = ispan.rank() + jspan.rank() - total
         rep.add(
             "direct_sum",
@@ -324,36 +380,33 @@ def verify_row_main(
 
     # (v) sampled spanning families lie in the spans.
     if k >= 1:
-        ok = True
         witness = None
         for _ in range(trials):
             A = random_set_composition(rng, n, k)
             w = _random_perm(rng, n)
             B = act(w, A)
             if not ispan.contains(row_sum(B, A, field)._terms):
-                ok, witness = False, f"row_sum({B}, {A})"
+                witness = f"row_sum({B}, {A})"
                 break
-        rep.add("sampled_row_sums_in_I", ok, witness=witness)
+        rep.add("sampled_row_sums_in_I", witness is None, witness=witness)
     else:
         rep.skip("sampled_row_sums_in_I", "no set compositions with at most 0 blocks")
     if k < n:
-        ok = True
         witness = None
         for _ in range(trials):
             U = Subset(n, rng.sample(range(1, n + 1), k + 1))
             v = _random_perm(rng, n)
             elt = mul(AlgebraElement.from_perm(v, field), antisymmetrizer(U, field))
             if not jspan.contains(elt._terms):
-                ok, witness = False, f"{v.oln}*antisym({U})"
+                witness = f"{v.oln}*antisym({U})"
                 break
-        rep.add("sampled_generators_in_J", ok, witness=witness)
+        rep.add("sampled_generators_in_J", witness is None, witness=witness)
     else:
         rep.skip("sampled_generators_in_J", f"no (k+1)-subsets of [{n}] for k = {k}")
 
     # (vi) complementary permutations complete each span to full rank.
-    avoider_ranks = {v.rank() for v in ibasis.leaders}
-    irank = _completion_rank(ibasis, ispan, [r for r in range(n_fact) if r not in avoider_ranks])
-    jrank = _completion_rank(jbasis, jspan, avoider_ranks)
+    irank = _completion_rank(ibasis, ispan, [r for r in range(n_fact) if r not in avoiders])
+    jrank = _completion_rank(jbasis, jspan, avoiders)
     rep.add(
         "quotient_bases",
         irank == n_fact and jrank == n_fact,
@@ -361,71 +414,18 @@ def verify_row_main(
     )
 
     # (vii) the antipode preserves both spans.
-    antipode_ok = all(
-        ispan.contains(antipode(e)._terms) for e in ibasis.elements
-    ) and all(jspan.contains(antipode(e)._terms) for e in jbasis.elements)
     rep.add("antipode_stability", antipode_ok)
 
     # (viii) J_k is the two-sided ideal of a single (k+1)-antisymmetrizer.
-    generated = False
     if k < n:
-        X = Subset(n, range(1, k + 2))
-        aX = antisymmetrizer(X, field)
-        regen = SpanBasis(field, n_fact)
-        ok = True
-        witness = None
-        target = jspan.rank()
-        # Deterministic one-sided products, then random two-sided products
-        # until the rank stalls.
-        for w in permutation_basis(n):
-            we = AlgebraElement.from_perm(w, field)
-            for prod, tag in ((mul(we, aX), "left"), (mul(aX, we), "right")):
-                vec = prod._terms
-                if not jspan.contains(vec):
-                    ok, witness = False, f"{tag} product by {w.oln}"
-                    break
-                regen.insert(vec)
-            if not ok or regen.rank() == target:
-                break
-        stall = 0
-        while ok and regen.rank() < target and stall < 2 * n_fact + 50:
-            u, v = _random_perm(rng, n), _random_perm(rng, n)
-            prod = mul(
-                AlgebraElement.from_perm(u, field),
-                mul(aX, AlgebraElement.from_perm(v, field)),
-            )
-            vec = prod._terms
-            if not jspan.contains(vec):
-                ok, witness = False, f"{u.oln}*antisym({X})*{v.oln}"
-                break
-            stall = 0 if regen.insert(vec) else stall + 1
-        generated = ok and regen.rank() == target
         rep.add(
             "single_generator",
-            generated,
-            note=f"regenerated rank {regen.rank()} of {target}",
-            witness=witness,
+            generator_witness is None,
+            note="" if generator_witness else f"regenerated rank {jspan.rank()} of {jspan.rank()}",
+            witness=generator_witness,
         )
     else:
         rep.skip("single_generator", f"J_{k} = 0 for k >= n")
-
-    # (ii) products vanish in both orders: certified, or every pair.
-    witness = None
-    if not (generated and _annihilation_certificate(ibasis, ispan, aX)):
-        witness = _pair_witness(
-            ibasis, jbasis, lambda e, f: not (mul(e, f).is_zero() and mul(f, e).is_zero())
-        )
-    annihilates = rep.add("mutual_annihilation", witness is None, witness=witness)
-
-    # (iii) dot products vanish: from (ii) and (vii), or every pair.
-    witness = None
-    if not (annihilates and antipode_ok):
-        witness = _pair_witness(ibasis, jbasis, dot)
-    rep.add("orthogonality", witness is None, witness=witness)
-
-    # (ii) and (iii) were decided last, as they rest on (vii) and (viii);
-    # report them after (i), in their numbered order
-    rep.checks[1:] = rep.checks[-2:] + rep.checks[1:-2]
     return rep
 
 
@@ -492,7 +492,7 @@ def twin_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Report:
     rep = Report("twin_check", n=n, k=k, field=field.name)
     n_fact = factorial(n)
     num_av = len(enumerate_av(n, k + 1))
-    primes = {v.rank() for v in enumerate_av_prime(n, k + 1)}
+    primes = _avoider_ranks(n, k + 1, True)
     rep.data["count_Av"] = num_av
     rep.data["count_Av_prime"] = len(primes)
     rep.add("counts_equal", num_av == len(primes))
@@ -513,10 +513,7 @@ def mixed_quotient_check(n: int, k: int, l: int, field=QQ, cap: int = VERIFY_CAP
     s = build_I_basis(n, k, field, cap).span()
     for e in sign_twisted(build_J_basis(n, l, field, cap)).elements:
         s.insert(e._terms)
-    avoiders = {v.rank() for v in enumerate_av(n, k + 1)}
-    index_set = sorted(
-        r for r in (v.rank() for v in enumerate_av_prime(n, l + 1)) if r not in avoiders
-    )
+    index_set = sorted(_avoider_ranks(n, l + 1, True) - _avoider_ranks(n, k + 1, False))
     rep.data["rank_sum"] = s.rank()
     rep.data["quotient_size"] = len(index_set)
     rep.add(

@@ -255,6 +255,12 @@ def _monotone_lengths(n: int) -> tuple[bytes, bytes]:
     return _monotone_tables[n]
 
 
+def _avoider_ranks(n: int, m: int, decreasing: bool) -> set[int]:
+    """The lex ranks of the w in S_n whose longest increasing (decreasing)
+    subsequence is shorter than m, read by position off the length table."""
+    return {r for r, length in enumerate(_monotone_lengths(n)[decreasing]) if length < m}
+
+
 def _avoiders(n: int, m: int, cap: int, decreasing: bool) -> list[Permutation]:
     """All w in S_n, in lex order, whose longest increasing (decreasing)
     subsequence is shorter than m."""

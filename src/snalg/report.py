@@ -3,8 +3,7 @@
 Every verification routine returns a Report: a named bundle of sub-checks,
 each either passing, failing (with a witness), or skipped (with the reason).
 Reports render as indented text for humans and as JSON objects for the
-command-line tools.  Wall-clock timings are kept on the object for text
-display but never serialized, so JSON output is reproducible byte for byte.
+command-line tools.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ class Report:
         self.context = dict(context)
         self.checks: list[Check] = []
         self.data: dict = {}
-        self.elapsed: Optional[float] = None
 
     def add(self, name: str, passed: bool, note: str = "", witness: Optional[str] = None) -> bool:
         self.checks.append(Check(name, PASS if passed else FAIL, note, witness))
@@ -80,8 +78,7 @@ class Report:
     def __str__(self) -> str:
         ctx = ", ".join(f"{k}={v}" for k, v in self.context.items())
         verdict = "PASS" if self.passed else "FAIL"
-        timing = f"  [{self.elapsed:.2f}s]" if self.elapsed is not None else ""
-        lines = [f"{self.name}({ctx}): {verdict}{timing}"]
+        lines = [f"{self.name}({ctx}): {verdict}"]
         for key, value in self.data.items():
             lines.append(f"    {key} = {value}")
         for c in self.checks:

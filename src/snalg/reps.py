@@ -21,6 +21,7 @@ from snalg.groupalg import AlgebraElement, _scalar, mul, permutation_basis, sign
 from snalg.ideals import build_I_basis, build_J_basis
 from snalg.perm import (
     Permutation,
+    _avoider_ranks,
     _check_n_range,
     avoids_decr,
     avoids_incr,
@@ -217,16 +218,15 @@ class ModuleAction:
         self.n = n
         self.dim = dim
         self._images = images
-        self._cache: dict[int, list[int]] = {}
+        self._cache: dict[Permutation, list[int]] = {}
 
     def index_action(self, w: Permutation) -> list[int]:
         """The basis index of w·e_t for each t."""
         if w.n != self.n:
             raise ValueError("permutation size mismatch")
-        r = w.rank()
-        hit = self._cache.get(r)
+        hit = self._cache.get(w)
         if hit is None:
-            hit = self._cache[r] = self._images(w)
+            hit = self._cache[w] = self._images(w)
         return hit
 
     def vectorized(self, w: Permutation) -> list[int]:
@@ -379,17 +379,16 @@ def annihilator_check_N(n: int, k: int, field=QQ, cap: int = ANNIHILATOR_CAP) ->
         rep.skip("ideal_annihilates", f"I_{m} undefined for negative index; nothing to check")
         ideal_rank = 0
 
-    avoiders = enumerate_av(n, n - k) if n - k >= 1 else []
-    expected = factorial(n) - len(avoiders)
+    avoider_ranks = _avoider_ranks(n, n - k, False)
+    expected = factorial(n) - len(avoider_ranks)
     perms = permutation_basis(n)
     full_rank = _image_rank(action, perms, field)
     rep.data["image_rank"] = full_rank
     rep.add("image_rank", full_rank == expected, note=f"{full_rank} (expect {expected})")
 
-    avoider_ranks = {v.rank() for v in avoiders}
     non_avoiders = [w for r, w in enumerate(perms) if r not in avoider_ranks]
     na_rank = _image_rank(action, non_avoiders, field)
-    primes = {v.rank() for v in enumerate_av_prime(n, n - k)} if n - k >= 1 else set()
+    primes = _avoider_ranks(n, n - k, True)
     non_primes = [w for r, w in enumerate(perms) if r not in primes]
     np_rank = _image_rank(action, non_primes, field)
     rep.add(

@@ -251,6 +251,22 @@ def corrupted(basis, index, extra=None):
     return IdealBasis(basis.n, basis.k, basis.field, basis.kind, elements, basis.leaders)
 
 
+def with_extra_line(field):
+    """A builder of I-bases for (4, 2) with one more element, 1 + s_1, led
+    by 4321.  The line of 1 + s_1 is stable under s_1 on both sides and
+    killed by a_X, but span(I) plus it is no ideal."""
+    build = ideals.build_I_basis
+    extra = AlgebraElement.one(4, field) + AlgebraElement.from_perm(Permutation([2, 1, 3, 4]), field)
+
+    def builder(*a, **kw):
+        b = build(*a, **kw)
+        return IdealBasis(
+            4, 2, field, "I", [*b.elements, extra], [*b.leaders, Permutation([4, 3, 2, 1])]
+        )
+
+    return builder
+
+
 def checks_of(rep):
     return {c.name: c for c in rep.checks}
 
@@ -302,9 +318,12 @@ class TestAnnihilationCertificate:
         # the fallback loop is not what makes the real cases pass
         for n in range(2, 5):
             for k in range(1, n):
-                ib = build_I_basis(n, k, field)
+                ib, jb = build_I_basis(n, k, field), build_J_basis(n, k, field)
                 aX = antisymmetrizer(Subset(n, range(1, k + 2)), field)
-                assert ideals._annihilation_certificate(ib, ib.span(), aX), (n, k)
+                assert ideals._closure_witness(ib, ib.span(), "I") is None, (n, k)
+                assert all(mul(e, aX).is_zero() and mul(aX, e).is_zero() for e in ib), (n, k)
+                assert ideals._closure_witness(jb, jb.span(), "J") is None, (n, k)
+                assert ideals._generator_witness(jb, jb.span(), aX) is None, (n, k)
 
     @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
     @pytest.mark.parametrize("target", ["I", "I-extra", "aX", "J"])
@@ -326,17 +345,12 @@ class TestAnnihilationCertificate:
         elif target == "I-extra":
             # I plus the line of 1 + s_1, which is stable under s_1 on both
             # sides: only s_2 or s_3 in part (a) can stop it
-            build = ideals.build_I_basis
-
-            def with_extra(*a, **kw):
-                b = build(*a, **kw)
-                return IdealBasis(
-                    n, k, field, "I", [*b.elements, extra], [*b.leaders, Permutation([4, 3, 2, 1])]
-                )
-
+            with_extra = with_extra_line(field)
             monkeypatch.setattr(ideals, "build_I_basis", with_extra)
             ib = with_extra(n, k, field)
-            assert not ideals._annihilation_certificate(ib, ib.span(), antisymmetrizer(X, field))
+            assert ideals._closure_witness(ib, ib.span(), "I") == (
+                "s_2·I[(4, 3, 2, 1)] not in span(I)"
+            )
         elif target == "J":
             build = ideals.build_J_basis
             monkeypatch.setattr(
@@ -360,6 +374,64 @@ class TestAnnihilationCertificate:
         check = checks_of(rep)["mutual_annihilation"]
         assert check.status == "fail"
         assert check.witness == want
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_direct_sum_falls_back_to_elimination(self, monkeypatch, field):
+        # I plus the line of 1 + s_1 is no ideal, so the certificate does
+        # not close, and (iv) finds the intersection with J by elimination
+        n, k = 4, 2
+        with_extra = with_extra_line(field)
+        monkeypatch.setattr(ideals, "build_I_basis", with_extra)
+        checks = checks_of(verify_row_main(n, k, field))
+        ispan, jspan = with_extra(n, k, field).span(), build_J_basis(n, k, field).span()
+        inter = span_intersection_dim(ispan, jspan)
+        assert inter == 1
+        assert checks["direct_sum"].status == "fail"
+        assert checks["direct_sum"].note == (
+            f"sum rank {ispan.rank() + jspan.rank() - inter}, intersection {inter}"
+        )
+
+    @pytest.mark.parametrize(
+        "mutation, want",
+        [
+            ("drop-aX", "a_X not in span(J)"),
+            ("corrupt", "J[(1, 2, 4, 3)] is not (vσ)·a_X·σ⁻¹"),
+            ("avoider-leader", "J[(4, 3, 2, 1)] is not (vσ)·a_X·σ⁻¹"),
+            ("left", "s_3·J[(1, 2, 3, 4)] not in span(J)"),
+            ("right", "J[(1, 2, 3, 4)]·s_3 not in span(J)"),
+        ],
+        ids=["drop-aX", "corrupt", "avoider-leader", "left", "right"],
+    )
+    def test_generator_witness_names_the_open_part(self, monkeypatch, mutation, want):
+        n, k = 4, 2
+        jb = build_J_basis(n, k)
+        aX = antisymmetrizer(Subset(n, range(1, k + 2)))
+        assert jb.leaders[0] == Permutation([1, 2, 3, 4]) and jb.elements[0] == aX
+        if mutation == "drop-aX":
+            # no other element has the identity in its support
+            basis = IdealBasis(n, k, QQ, "J", jb.elements[1:], jb.leaders[1:])
+        elif mutation == "corrupt":
+            basis = corrupted(jb, 1)
+        elif mutation == "avoider-leader":
+            # a leader with no increasing 3-subsequence has no witness U
+            leaders = list(jb.leaders)
+            leaders[3] = Permutation([4, 3, 2, 1])
+            basis = IdealBasis(n, k, QQ, "J", jb.elements, leaders)
+        else:
+            # span{a_X} and span{a_X, s_3·a_X}: translates of a_X, closed
+            # under s_1 and s_2, but not under s_3 on the left or the right
+            s3 = Permutation([1, 2, 4, 3])
+            elements, leaders = [aX], [jb.leaders[0]]
+            if mutation == "right":
+                elements.append(mul(AlgebraElement.from_perm(s3), aX))
+                leaders.append(s3)
+            basis = IdealBasis(n, k, QQ, "J", elements, leaders)
+        assert ideals._generator_witness(basis, basis.span(), aX) == want
+        monkeypatch.setattr(ideals, "build_J_basis", lambda *a, **kw: basis)
+        check = checks_of(verify_row_main(n, k))["single_generator"]
+        assert check.status == "fail"
+        assert check.witness == want
+        assert check.note == ""
 
     def test_orthogonality_falls_back_to_dot_loop(self, monkeypatch):
         # with a J element moved off J, (ii) fails, and (iii) reports the
