@@ -301,8 +301,12 @@ def main(argv=None) -> int:
         return 2
     payload = output.rstrip("\n") + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return code

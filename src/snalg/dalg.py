@@ -35,7 +35,9 @@ The module provides exact multiplication, associativity verification,
 unity search, center and Jacobson-radical dimensions (radical over the
 rationals via the trace form on the unitalization), and the linear map
 Δ_{B,A} ↦ ∇_{B,A} into the group algebra, which the product rule makes an
-algebra homomorphism.
+algebra homomorphism.  Both sides of that map share one coefficient
+format, `groupalg._Element`: integer terms over one denominator, so
+products and the map itself run on ints over Q and over F_p.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from importlib import resources
 from math import comb, lcm
 
 from snalg.exactla import QQ, SpanBasis
-from snalg.groupalg import AlgebraElement, _board_combination, mul as algebra_mul
+from snalg.groupalg import AlgebraElement, _board_combination, _Element, _scalar, mul as algebra_mul
 from snalg.perm import _check_n_range
 from snalg.report import Report
 from snalg.rook import Subset, _coeff_row, _rows, _subsets_of, delta, subsets_of_size
@@ -155,104 +157,39 @@ def _mul_coeffs(n: int, x: dict, y: dict) -> dict:
     return {t: c for t, c in out.items() if c}
 
 
-class DElement:
-    """An element of the Δ-algebra: sparse coefficients on the basis
-    symbols Δ_{B,A}."""
+class DElement(_Element):
+    """An element of the Δ-algebra in the one coefficient format of snalg
+    (`groupalg._Element`): integer terms {basis index: int} over one
+    denominator, the index of Δ_{B,A} its position in `basis_pairs`."""
 
-    __slots__ = ("n", "field", "_coeffs")
-
-    def __init__(self, n: int, field=QQ, coeffs=None):
-        self.n = n
-        self.field = field
-        clean = {}
-        if coeffs:
-            dim = d_dim(n)
-            for idx, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
-                c = field.normalize(c)
-                if c:
-                    if not 0 <= idx < dim:
-                        raise ValueError(f"basis index {idx} out of range")
-                    clean[idx] = c
-        self._coeffs = clean
-
-    @classmethod
-    def zero(cls, n: int, field=QQ) -> "DElement":
-        return cls(n, field)
+    __slots__ = ()
+    _dim = staticmethod(d_dim)
 
     @classmethod
     def basis(cls, n: int, B: Subset, A: Subset, field=QQ) -> "DElement":
         if B.size != A.size:
             raise ValueError("basis symbols need equal-size subsets")
-        return cls(n, field, {basis_index(n, B, A): field.one})
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def coeff(self, idx: int):
-        return self._coeffs.get(idx, self.field.zero)
+        return cls._raw(n, field, {basis_index(n, B, A): 1})
 
     def items(self):
         """(B, A, coefficient) triples in basis order."""
         pairs, _ = _basis_data(self.n)
-        for idx in sorted(self._coeffs):
+        for idx in sorted(self._terms):
             b, a = pairs[idx]
-            yield Subset(self.n, mask=b), Subset(self.n, mask=a), self._coeffs[idx]
-
-    def support(self) -> list[int]:
-        return sorted(self._coeffs)
-
-    def to_vector(self) -> list:
-        v = [self.field.zero] * d_dim(self.n)
-        for idx, c in self._coeffs.items():
-            v[idx] = c
-        return v
+            c = _scalar(self.field, self._terms[idx], self._den)
+            yield Subset(self.n, mask=b), Subset(self.n, mask=a), c
 
     @classmethod
     def from_vector(cls, n: int, vec, field=QQ) -> "DElement":
-        return cls(n, field, dict(enumerate(vec)))
-
-    def _binary(self, other, fn) -> "DElement":
-        if not isinstance(other, DElement):
-            return NotImplemented
-        if self.n != other.n or self.field is not other.field:
-            raise ValueError("mixed Δ-algebra elements")
-        coeffs = dict(self._coeffs)
-        for idx, c in other._coeffs.items():
-            coeffs[idx] = self.field.normalize(fn(coeffs.get(idx, self.field.zero), c))
-        return DElement(self.n, self.field, coeffs)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __neg__(self):
-        return DElement(self.n, self.field, {i: -c for i, c in self._coeffs.items()})
-
-    def __rmul__(self, scalar):
-        c = self.field.normalize(scalar)
-        return DElement(
-            self.n, self.field, {i: c * x for i, x in self._coeffs.items()}
-        )
+        return cls(n, field, enumerate(vec))
 
     def __mul__(self, other):
-        if isinstance(other, DElement):
+        if isinstance(other, _Element):
             return d_mul(self, other)
         return self.__rmul__(other)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DElement)
-            and self.n == other.n
-            and self.field is other.field
-            and self._coeffs == other._coeffs
-        )
-
-    __hash__ = None
-
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._terms:
             return "0"
         bits = []
         for B, A, c in self.items():
@@ -267,20 +204,21 @@ class DElement:
 def d_mul(x: DElement, y: DElement) -> DElement:
     """Bilinear extension of the structure constants, in block form: the
     weights of all term pairs that share a block (D, A) are summed per size
-    first, then each block is expanded once (`_mul_coeffs`)."""
-    if not isinstance(x, DElement) or not isinstance(y, DElement):
+    first, then each block is expanded once (`_mul_coeffs`), on the integer
+    terms over the product of the denominators."""
+    if not isinstance(x, DElement):
         raise TypeError("d_mul needs two Δ-algebra elements")
-    if x.n != y.n or x.field is not y.field:
-        raise ValueError("mixed Δ-algebra elements")
-    return DElement(x.n, x.field, _mul_coeffs(x.n, x._coeffs, y._coeffs))
+    x._check(y)
+    terms = _mul_coeffs(x.n, x._terms, y._terms)
+    return DElement._canonical(x.n, x.field, terms.items(), x._den * y._den)
 
 
 def to_group_algebra(x: DElement) -> AlgebraElement:
     """The linear map Δ_{B,A} ↦ ∇_{B,A} into the group algebra."""
     n = x.n
     pairs, _ = _basis_data(n)
-    terms = ((_rows(n, *pairs[idx]), c) for idx, c in x._coeffs.items())
-    return _board_combination(n, x.field, terms)
+    terms = ((_rows(n, *pairs[idx]), c) for idx, c in x._terms.items())
+    return _board_combination(n, x.field, terms, x._den)
 
 
 def _triple_rows(n: int, c: int, b: int, f: int, m1: int, m2: int):
@@ -369,10 +307,6 @@ def associativity_check(n: int, mode: str = None, trials: int = 10000, seed: int
     return rep
 
 
-def _basis_delement(n: int, idx: int, field) -> DElement:
-    return DElement(n, field, {idx: field.one})
-
-
 def _multiplication_columns(n: int, i: int):
     """(right, left) for the generator Δᵢ, each as {t: {s: c}} with
     integer c: the coefficient of Δ_t in Δ_s·Δᵢ (right) and in Δᵢ·Δ_s
@@ -432,7 +366,7 @@ def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
         total = sum(num.get(s, 0) * m for s, m in cols.items())
         if field.normalize(total - den * rhs):
             return None
-    return DElement(n, field, coeffs)
+    return DElement._canonical(n, field, num.items(), den)
 
 
 def center_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
@@ -554,8 +488,8 @@ def quotient_map_check(n: int, trials: int = 500, seed: int = 0, field=QQ) -> Re
     ok = True
     witness = None
     for i, j in pairs:
-        di = _basis_delement(n, i, field)
-        dj = _basis_delement(n, j, field)
+        di = DElement._raw(n, field, {i: 1})
+        dj = DElement._raw(n, field, {j: 1})
         lhs = to_group_algebra(d_mul(di, dj))
         rhs = algebra_mul(to_group_algebra(di), to_group_algebra(dj))
         if lhs != rhs:
@@ -580,13 +514,11 @@ def reference_unity(n: int, field=QQ) -> DElement:
         terms = table[str(n)]
     except KeyError:
         raise ValueError(f"no stored unity formula for n = {n}")
-    total = DElement.zero(n, field)
-    for term in terms:
-        c = field.normalize(Fraction(term["coeff"]))
-        total = total + c * DElement.basis(
-            n, Subset(n, term["B"]), Subset(n, term["A"]), field
-        )
-    return total
+    pairs = (
+        (basis_index(n, Subset(n, t["B"]), Subset(n, t["A"])), Fraction(t["coeff"]))
+        for t in terms
+    )
+    return DElement(n, field, pairs)
 
 
 def stats(n: int, field=QQ, cap: int = DALG_CAP) -> dict:

@@ -3,10 +3,13 @@
 Elements are sparse maps from permutations (keyed internally by their
 lexicographic rank) to nonzero integers over one common denominator, which
 is 1 over F_p and for every rook sum, so the ring operations run on ints
-over both fields.  Provides the ring operations, the
-antipode w -> w^{-1}, the sign twist w -> (-1)^w w, the standard bilinear
-form with orthonormal permutation basis, sums over rook boards, and minimal
-polynomials over the rationals with integer-root factorization.
+over both fields.  That format, its canonical form and its linear
+operations are written once, in `_Element`, the base of both
+`AlgebraElement` and the Δ-algebra's `dalg.DElement`.  Provides the ring
+operations, the antipode w -> w^{-1}, the sign twist w -> (-1)^w w, the
+standard bilinear form with orthonormal permutation basis, sums over rook
+boards, and minimal polynomials over the rationals with integer-root
+factorization.
 
 Every rook sum in snalg (nabla, nabla_tilde, row and tuple sums,
 antisymmetrizers, the product rules) is the sum over a board of allowed
@@ -122,73 +125,164 @@ def _coset_ids(n: int, blocks: bytes) -> tuple[array, list[int], list[int]]:
     return _coset_tables[blocks]
 
 
-def _canonical(n: int, field, pairs, den: int = 1) -> "AlgebraElement":
-    """The element of k[S_n] with coefficient c / den at lex rank r, for
-    (r, c) in `pairs` (distinct ranks, int c; den > 0, and 1 over F_p), in
-    canonical form: over F_p each term reduced once into [1, p); over Q the
-    zero terms dropped and the common factor of den and the terms divided
-    out."""
-    p = field.characteristic
-    if p:
-        terms = {}
-        for r, c in pairs:
-            c %= p
-            if c:
-                terms[r] = c
-        return AlgebraElement._raw(n, field, terms)
-    terms = {r: c for r, c in pairs if c}
-    if den != 1:
-        g = gcd(den, *terms.values())
-        if g != 1:
-            terms = {r: c // g for r, c in terms.items()}
-            den //= g
-    return AlgebraElement._raw(n, field, terms, den)
-
-
 def _scalar(field, c: int, den: int):
     """The field scalar c / den."""
     return c % field.p if field.characteristic else Fraction(c, den)
 
 
-class AlgebraElement:
-    """A sparse element of k[S_n]: nonzero integer terms {lex rank: int}
-    over one positive denominator `_den`, so the coefficient at rank r is
+class _Element:
+    """The one coefficient format of snalg's algebras, k[S_n] here and the
+    Δ-algebra in `dalg`: nonzero integer terms {basis index: int} over one
+    positive denominator `_den`, so the coefficient at index r is
     `_terms[r] / _den`.  Over F_p the terms lie in [1, p) and `_den` is 1;
     over Q `_den` and the terms have no common factor.  The form is unique,
-    so equality compares `_den` and `_terms`.  A rook sum also keeps in
-    `_blocks` the block label of each position under its right Young
-    subgroup (see `_rook_sum`); every other element has `_blocks` None."""
+    so equality compares `_den` and `_terms`.  This class holds the linear
+    structure; a subclass names its basis (`_dim`, `_index`) and its
+    product.  Elements of different classes, sizes or fields do not
+    combine."""
 
-    __slots__ = ("n", "field", "_terms", "_den", "_blocks")
+    __slots__ = ("n", "field", "_terms", "_den")
 
-    def __init__(self, n: int, field, terms=None):
+    def __new__(cls, n: int, field=QQ, terms=None):
+        """From a dict or pairs (key, c), the key a basis index or what
+        `_index` reads as one, c a field scalar; repeated keys add up."""
+        dim = cls._dim(n)
         data: dict[int, object] = {}
         for key, c in terms.items() if isinstance(terms, dict) else terms or ():
-            if isinstance(key, Permutation) and key.n != n:
-                raise ValueError(f"permutation of [{key.n}] in k[S_{n}]")
-            r = key.rank() if isinstance(key, Permutation) else int(key)
+            r = cls._index(n, key)
+            if not 0 <= r < dim:
+                raise ValueError(f"basis index {r} out of range")
             data[r] = data.get(r, 0) + field.normalize(c)
         # over F_p the normalized scalars are ints, of denominator 1
         den = lcm(*(c.denominator for c in data.values()))
         pairs = ((r, c.numerator * (den // c.denominator)) for r, c in data.items())
-        canon = _canonical(n, field, pairs, den)
-        self.n, self.field, self._terms, self._den = n, field, canon._terms, canon._den
-        self._blocks = None
+        return cls._canonical(n, field, pairs, den)
+
+    @staticmethod
+    def _index(n: int, key) -> int:
+        return int(key)
 
     @classmethod
-    def _raw(cls, n: int, field, terms: dict[int, int], den: int = 1) -> "AlgebraElement":
+    def _raw(cls, n: int, field, terms: dict[int, int], den: int = 1):
         """An element from terms and denominator already in canonical form."""
         a = object.__new__(cls)
         a.n = n
         a.field = field
         a._terms = terms
         a._den = den
-        a._blocks = None
         return a
 
     @classmethod
-    def zero(cls, n: int, field=QQ) -> "AlgebraElement":
+    def _canonical(cls, n: int, field, pairs, den: int = 1):
+        """The element with coefficient c / den at index r, for (r, c) in
+        `pairs` (distinct indices, int c; den > 0, and 1 over F_p), in
+        canonical form: over F_p each term reduced once into [1, p); over Q
+        the zero terms dropped and the common factor of den and the terms
+        divided out."""
+        p = field.characteristic
+        if p:
+            terms = {}
+            for r, c in pairs:
+                c %= p
+                if c:
+                    terms[r] = c
+            return cls._raw(n, field, terms)
+        terms = {r: c for r, c in pairs if c}
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {r: c // g for r, c in terms.items()}
+                den //= g
+        return cls._raw(n, field, terms, den)
+
+    @classmethod
+    def zero(cls, n: int, field=QQ):
         return cls._raw(n, field, {})
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def coeff(self, r: int):
+        return _scalar(self.field, self._terms.get(r, 0), self._den)
+
+    def support(self) -> list:
+        return sorted(self._terms)
+
+    def to_vector(self) -> list:
+        """Coordinates in the basis, by index: ints, except over Q with
+        `_den` > 1, where the nonzero ones are Fractions."""
+        vec = [0] * self._dim(self.n)
+        den = self._den
+        for r, c in self._terms.items():
+            vec[r] = c if den == 1 else Fraction(c, den)
+        return vec
+
+    def _check(self, other) -> None:
+        """Raise unless other lies in the same algebra as self."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.n != other.n:
+            raise ValueError(f"mixed sizes: n = {self.n} vs n = {other.n}")
+        if self.field != other.field:
+            raise ValueError(f"mixed fields: {self.field!r} vs {other.field!r}")
+
+    def __add__(self, other):
+        self._check(other)
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        terms = {r: sa * c for r, c in self._terms.items()}
+        for r, c in other._terms.items():
+            terms[r] = terms.get(r, 0) + sb * c
+        return self._canonical(self.n, self.field, terms.items(), den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.__rmul__(-1)
+
+    def __rmul__(self, c):
+        """The scalar multiple c·self."""
+        c = self.field.normalize(c)
+        pairs = ((r, c.numerator * x) for r, x in self._terms.items())
+        return self._canonical(self.n, self.field, pairs, self._den * c.denominator)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.n == other.n
+            and self.field == other.field
+            and self._den == other._den
+            and self._terms == other._terms
+        )
+
+
+class AlgebraElement(_Element):
+    """A sparse element of k[S_n] in the shared format (`_Element`), indexed
+    by the lex rank of each permutation.  A rook sum also keeps in
+    `_blocks` the block label of each position under its right Young
+    subgroup (see `_rook_sum`); every other element has `_blocks` None."""
+
+    __slots__ = ("_blocks",)
+    _dim = staticmethod(factorial)
+
+    @classmethod
+    def _raw(cls, n: int, field, terms: dict[int, int], den: int = 1) -> "AlgebraElement":
+        a = super()._raw(n, field, terms, den)
+        a._blocks = None
+        return a
+
+    @staticmethod
+    def _index(n: int, key) -> int:
+        """A lex rank, or the rank of a permutation of [n]."""
+        if not isinstance(key, Permutation):
+            return int(key)
+        if key.n != n:
+            raise ValueError(f"permutation of [{key.n}] in k[S_{n}]")
+        return key.rank()
 
     @classmethod
     def one(cls, n: int, field=QQ) -> "AlgebraElement":
@@ -199,12 +293,6 @@ class AlgebraElement:
         if coeff is None:
             return cls._raw(w.n, field, {w.rank(): 1})
         return cls(w.n, field, [(w, coeff)])
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def items(self) -> Iterator[tuple[Permutation, object]]:
         """(permutation, coefficient) pairs in lex order."""
@@ -217,16 +305,7 @@ class AlgebraElement:
     def coeff(self, w: Permutation) -> object:
         if w.n != self.n:
             raise ValueError("permutation size mismatch")
-        return _scalar(self.field, self._terms.get(w.rank(), 0), self._den)
-
-    def to_vector(self) -> list:
-        """Coordinates in the permutation basis, indexed by lex rank: ints,
-        except over Q with `_den` > 1, where the nonzero ones are Fractions."""
-        vec = [0] * factorial(self.n)
-        den = self._den
-        for r, c in self._terms.items():
-            vec[r] = c if den == 1 else Fraction(c, den)
-        return vec
+        return super().coeff(w.rank())
 
     @classmethod
     def from_vector(cls, n: int, field, vec: Sequence) -> "AlgebraElement":
@@ -234,22 +313,10 @@ class AlgebraElement:
 
     # -- ring structure ----------------------------------------------------
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return add(self, other)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return add(self, scale(-1, other))
-
-    def __neg__(self) -> "AlgebraElement":
-        return scale(-1, self)
-
     def __mul__(self, other) -> "AlgebraElement":
-        if isinstance(other, AlgebraElement):
+        if isinstance(other, _Element):
             return mul(self, other)
-        return scale(other, self)
-
-    def __rmul__(self, other) -> "AlgebraElement":
-        return scale(other, self)
+        return self.__rmul__(other)
 
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:
@@ -258,17 +325,6 @@ class AlgebraElement:
         for _ in range(k):
             out = mul(out, self)
         return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.n == other.n
-            and self.field == other.field
-            and self._den == other._den
-            and self._terms == other._terms
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -307,27 +363,12 @@ class AlgebraElement:
         return cls.from_json_obj(json.loads(s), field)
 
 
-def _check_pair(a: AlgebraElement, b: AlgebraElement) -> None:
-    if a.n != b.n:
-        raise ValueError(f"mixed sizes: S_{a.n} vs S_{b.n}")
-    if a.field != b.field:
-        raise ValueError(f"mixed fields: {a.field!r} vs {b.field!r}")
-
-
 def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    _check_pair(a, b)
-    den = lcm(a._den, b._den)
-    sa, sb = den // a._den, den // b._den
-    terms = {r: sa * c for r, c in a._terms.items()}
-    for r, c in b._terms.items():
-        terms[r] = terms.get(r, 0) + sb * c
-    return _canonical(a.n, a.field, terms.items(), den)
+    return a + b
 
 
 def scale(c, a: AlgebraElement) -> AlgebraElement:
-    c = a.field.normalize(c)
-    num, den = c.numerator, a._den * c.denominator
-    return _canonical(a.n, a.field, ((r, num * x) for r, x in a._terms.items()), den)
+    return a.__rmul__(c)
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -341,7 +382,7 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     on each coset of Y and equal there to the sum of x over that coset:
     each pair adds ca * cb to the sum of the coset of uv, and each coset's
     sum is then written to all of its ranks."""
-    _check_pair(a, b)
+    a._check(b)
     n = a.n
     aterms, bterms = a._terms, b._terms
     if not aterms or not bterms:
@@ -369,7 +410,7 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 r = index[img_v.translate(table)]
                 acc[r] = acc.get(r, 0) + ca * cb
         pairs = acc.items()
-    return _canonical(n, a.field, pairs, a._den * b._den)
+    return a._canonical(n, a.field, pairs, a._den * b._den)
 
 
 def antipode(a: AlgebraElement) -> AlgebraElement:
@@ -381,7 +422,7 @@ def antipode(a: AlgebraElement) -> AlgebraElement:
 def sign_twist(a: AlgebraElement) -> AlgebraElement:
     """The automorphism sending w to (-1)^w w."""
     signs = _sign_table(a.n)
-    return _canonical(a.n, a.field, ((r, signs[r] * c) for r, c in a._terms.items()), a._den)
+    return a._canonical(a.n, a.field, ((r, signs[r] * c) for r, c in a._terms.items()), a._den)
 
 
 def coeff_one(a: AlgebraElement):
@@ -391,7 +432,7 @@ def coeff_one(a: AlgebraElement):
 
 def dot(a: AlgebraElement, b: AlgebraElement):
     """The bilinear form with the permutations as an orthonormal basis."""
-    _check_pair(a, b)
+    a._check(b)
     small, big = (a._terms, b._terms) if len(a) <= len(b) else (b._terms, a._terms)
     acc = sum(c * big.get(r, 0) for r, c in small.items())
     return _scalar(a.field, acc, a._den * b._den)
@@ -461,19 +502,20 @@ def _rook_sum(n: int, rows: tuple[int, ...], field) -> AlgebraElement:
     return a
 
 
-def _board_combination(n: int, field, terms: Iterable) -> AlgebraElement:
-    """The sum of c times the board sum of rows over (rows, c) in terms, c
-    a field scalar (an int is taken as it is), added up in one integer list
-    over the common denominator of the c."""
+def _board_combination(n: int, field, terms: Iterable, den: int = 1) -> AlgebraElement:
+    """The sum of c / den times the board sum of rows over (rows, c) in
+    terms, c a field scalar (an int is taken as it is; den is 1 over F_p),
+    added up in one integer list over den times the common denominator of
+    the c."""
     terms = [(rows, c if isinstance(c, int) else field.normalize(c)) for rows, c in terms]
     # over F_p the normalized scalars are ints, of denominator 1
-    den = lcm(*(c.denominator for _, c in terms))
+    common = lcm(*(c.denominator for _, c in terms))
     acc = [0] * factorial(n)
     for rows, c in terms:
-        c = c.numerator * (den // c.denominator)
+        c = c.numerator * (common // c.denominator)
         for r in _board_ranks(n, rows):
             acc[r] += c
-    return _canonical(n, field, enumerate(acc), den)
+    return AlgebraElement._canonical(n, field, enumerate(acc), den * common)
 
 
 def board_sum(n: int, board: Iterable[tuple[int, int]], field=QQ) -> AlgebraElement:

@@ -196,6 +196,15 @@ def test_out_writes_file_and_is_deterministic(tmp_path, capsys):
     assert json.loads(a.read_text())[0]["passed"] is True
 
 
+def test_out_to_a_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    assert main(["counts", "--n", "3", "--k", "1", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_stdout_deterministic(capsys):
     _, first = run(capsys, "counts", "--n", "4", "--k", "2", "--format", "json")
     _, second = run(capsys, "counts", "--n", "4", "--k", "2", "--format", "json")
@@ -263,8 +272,9 @@ def test_out_of_range_index_exit_2(capsys, argv, flag, accepted):
 
 
 # ---------------------------------------------------------------------------
-# byte identity with recorded output: the prime-field elimination path, and
-# the rook-sum and group-algebra path over Q
+# byte identity with recorded output: the prime-field elimination path, the
+# rook-sum and group-algebra path over Q, and the Δ-algebra unity over Q and
+# F_7 (over F_3 there is none)
 
 GUARDED = {
     "product_fuzz_n5_t40_s3": ["product-fuzz", "--n", "5", "--trials", "40", "--seed", "3"],
@@ -281,7 +291,9 @@ GUARDED = {
     "annihilators_n5_k2": ["annihilators", "--n", "5", "--k", "2"],
     "annihilators_n5_k2_fp7": ["annihilators", "--n", "5", "--k", "2", "--field", "Fp:7"],
     "cross_char_n4": ["cross-char", "--n", "4"],
+    "dalg_stats_n4": ["dalg-stats", "--n", "4"],
     "dalg_stats_n4_fp3": ["dalg-stats", "--n", "4", "--field", "Fp:3"],
+    "dalg_stats_n4_fp7": ["dalg-stats", "--n", "4", "--field", "Fp:7"],
 }
 
 

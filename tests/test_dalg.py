@@ -1,6 +1,7 @@
 """Tests for the abstract Δ-algebra: small multiplication tables, unity
 formulas, center/radical dimensions, and the homomorphism onto rook sums."""
 
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +31,7 @@ from snalg.dalg import (
     to_group_algebra,
     unity_find,
 )
-from snalg.exactla import GF, QQ, SpanBasis
+from snalg.exactla import GF, QQ, PrimeField, SpanBasis
 from snalg.groupalg import AlgebraElement, add, scale
 from snalg.groupalg import mul as algebra_mul
 from snalg.perm import enumerate_av
@@ -104,6 +105,26 @@ def test_element_arithmetic_and_vectors():
 def test_mixed_sizes_rejected():
     with pytest.raises(ValueError):
         d_mul(basis(2, [1], [1]), basis(3, [1], [1]))
+    # the two algebras share a coefficient format but never combine
+    a, d = AlgebraElement.one(2), basis(2, [1], [1])
+    for combine in (operator.add, operator.sub, operator.mul, d_mul, algebra_mul):
+        for x, y in ((a, d), (d, a)):
+            with pytest.raises(TypeError):
+                combine(x, y)
+    assert a != d and d != a
+    # fields compare by value: an uncached F_7 is the cached one
+    assert basis(2, [1], [1], GF(7)) == basis(2, [1], [1], PrimeField(7))
+
+
+@pytest.mark.parametrize("cls, dim", [(AlgebraElement, 6), (DElement, 20)])
+def test_out_of_range_index_rejected(cls, dim):
+    for key in (-1, dim, 100):
+        with pytest.raises(ValueError, match=f"basis index {key} out of range"):
+            cls(3, QQ, {key: 1})
+    with pytest.raises(ValueError, match="out of range"):
+        cls(3, QQ, enumerate([1] * (dim + 1)))
+    x = cls(3, QQ, enumerate([1] * dim))
+    assert len(x) == dim and x.to_vector() == [1] * dim
 
 
 # ---------------------------------------------------------------------------
