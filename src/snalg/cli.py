@@ -79,8 +79,7 @@ def _render_reports(reports: list[Report], fmt: str) -> str:
 
 
 def _render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+    """Text or tsv; each caller writes its own JSON."""
     if fmt == "tsv":
         return "\n".join(["\t".join(header)] + ["\t".join(row) for row in rows])
     widths = [

@@ -47,9 +47,9 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import comb, lcm
+from math import comb
 
-from snalg.exactla import QQ, SpanBasis
+from snalg.exactla import QQ, SpanBasis, _clear_denominators
 from snalg.groupalg import AlgebraElement, _board_combination, _Element, _scalar, mul as algebra_mul
 from snalg.perm import _check_n_range
 from snalg.report import Report
@@ -179,10 +179,6 @@ class DElement(_Element):
             c = _scalar(self.field, self._terms[idx], self._den)
             yield Subset(self.n, mask=b), Subset(self.n, mask=a), c
 
-    @classmethod
-    def from_vector(cls, n: int, vec, field=QQ) -> "DElement":
-        return cls(n, field, enumerate(vec))
-
     def __mul__(self, other):
         if isinstance(other, _Element):
             return d_mul(self, other)
@@ -254,6 +250,8 @@ def associativity_check(n: int, mode: str = None, trials: int = 10000, seed: int
     regrouping identity in the module docstring holds for any row table, so
     equal rows are equal products, triple for triple."""
     _check_n_range(n, DALG_CAP)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if mode is None:
         mode = "exhaustive" if n <= 3 else "sampled"
     if mode not in ("exhaustive", "sampled"):
@@ -356,12 +354,8 @@ def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
             break
     else:
         raise ArithmeticError("unity system is underdetermined")
-    coeffs = {}
-    for row, pivot in zip(aug.rows, aug.pivots):
-        coeffs[pivot] = row[dim]
-    # over F_p the coefficients are ints, with denominator 1
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    num = {s: c.numerator * (den // c.denominator) for s, c in coeffs.items()}
+    nums, den = _clear_denominators([row[dim] for row in aug.rows])
+    num = dict(zip(aug.pivots, nums))
     for cols, rhs in _unity_equations(n):
         total = sum(num.get(s, 0) * m for s, m in cols.items())
         if field.normalize(total - den * rhs):
@@ -477,6 +471,8 @@ def quotient_map_check(n: int, trials: int = 500, seed: int = 0, field=QQ) -> Re
     """Δ_{B,A} ↦ ∇_{B,A} is multiplicative: exhaustive over basis pairs
     for n ≤ 3, seeded samples otherwise."""
     _check_n_range(n, DALG_CAP)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rep = Report("quotient_map_check", n=n, field=field.name)
     dim = d_dim(n)
     exhaustive = n <= 3

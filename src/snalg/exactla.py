@@ -16,9 +16,9 @@ pass over the rows whose pivots it touches, each multiple read off the
 input (see `SpanBasis`).  Over Q elimination is fraction-free, in the
 manner of Bareiss: each step multiplies a vector by a nonzero integer,
 which changes no span, so the answers are exact, not modular.
-`SpanBasis.insert_tagged` appends a unit tag to each vector of a
-sequence, so the first linear dependency can be read off the tags;
-`min_dependency` and the Krylov loop behind minimal polynomials use it.
+`SpanBasis.insert_tagged` takes each vector of a sequence with a unit tag
+appended, so the first linear dependency can be read off the tags; the
+Krylov loop behind minimal polynomials uses it.
 `SpanBasis.kernel` reads a nullspace basis straight off the stored rows,
 one vector per free column.  `DenseMatrix` is a plain dense matrix value;
 its rank and nullspace are those of the `SpanBasis` of its rows, so
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -39,12 +39,9 @@ __all__ = [
     "PrimeField",
     "DenseMatrix",
     "SpanBasis",
-    "ExtendRequired",
-    "min_dependency",
     "span_equal",
     "span_sum_rank",
     "span_intersection_dim",
-    "require_invertible_factorial",
 ]
 
 
@@ -64,9 +61,6 @@ class RationalField:
 
     def normalize(self, x) -> Fraction:
         return x if isinstance(x, Fraction) else Fraction(x)
-
-    def from_int(self, k: int) -> Fraction:
-        return Fraction(k)
 
     def inv(self, x: Fraction) -> Fraction:
         if not x:
@@ -108,9 +102,6 @@ class PrimeField:
             return self.normalize(x.numerator) * self.inv(x.denominator % self.p) % self.p
         return int(x) % self.p
 
-    def from_int(self, k: int) -> int:
-        return k % self.p
-
     def inv(self, x: int) -> int:
         x %= self.p
         if not x:
@@ -145,13 +136,6 @@ def GF(p: int) -> PrimeField:
     if p not in _gf_cache:
         _gf_cache[p] = PrimeField(p)
     return _gf_cache[p]
-
-
-def require_invertible_factorial(field, n: int) -> None:
-    """Raise unless n! is invertible in the field."""
-    p = field.characteristic
-    if p and gcd(factorial(n), p) != 1:
-        raise ValueError(f"modulus {p} divides {n}!")
 
 
 class DenseMatrix:
@@ -197,18 +181,14 @@ class DenseMatrix:
         return f"DenseMatrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
-def _integer_vector(v: Sequence) -> list[int]:
-    """A nonzero integer multiple of the rational vector v (v itself when
-    its entries are integers)."""
+def _clear_denominators(values: Sequence) -> tuple[list[int], int]:
+    """(nums, den): den the least common denominator of the rationals in
+    values, nums[i] = den·values[i]; ints come back as they are, over 1."""
     try:
-        nums = [x.numerator for x in v]
+        den = lcm(*[x.denominator for x in values])
     except AttributeError:  # floats, strings: anything Fraction accepts
-        return _integer_vector([Fraction(x) for x in v])
-    # a zero numerator means denominator 1; most entries are zero
-    den = lcm(*[x.denominator for x, num in zip(v, nums) if num])
-    if den == 1:
-        return nums
-    return [x.numerator * (den // x.denominator) for x in v]
+        return _clear_denominators([Fraction(x) for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 class SpanBasis:
@@ -297,7 +277,7 @@ class SpanBasis:
             return {j: x % p for j, x in v.items() if x % p} if p else v
         if p:
             return {j: y for j, x in v.items() if (y := field.normalize(x))}
-        return dict(zip(v, _integer_vector(list(v.values()))))
+        return dict(zip(v, _clear_denominators(list(v.values()))[0]))
 
     def _reduce(self, v: dict[int, int]) -> dict[int, int]:
         """The nonzero entries of v minus its components along the stored
@@ -387,23 +367,18 @@ class SpanBasis:
         self._store(v)
         return True
 
-    def insert_tagged(self, v, m: int, split: Optional[int] = None) -> Optional[list]:
-        """Insert the m-th vector v of a sequence, tagged: as [v | e_m],
+    def insert_tagged(self, v: dict, m: int, split: int) -> Optional[list]:
+        """Insert the m-th vector v of a sequence, tagged as [v | e_m],
         where e_m is the m-th unit vector of the columns from `split` on.
         Tags keep track of how a reduced vector combines the inputs, since
-        each input is the only one carrying its own tag.  A dense v has
-        split = len(v) and is tagged here.  A sparse v comes tagged: it is
-        t·[v | e_m] for a nonzero t, with entries before `split` and its
-        tag t at split + m.
+        each input is the only one carrying its own tag.  v comes tagged,
+        as a sparse dict: it is t·[v | e_m] for a nonzero t, with entries
+        before `split` and its tag t at split + m.
 
         Returns None if v is independent of the vectors inserted before it,
         which are the sequence's vectors 0..m−1.  Otherwise the span is left
         as it was, and the result is the coefficients (c_0, ..., c_m), with
         c_m = 1, of the dependency c_0 v_0 + ... + c_m v_m = 0."""
-        if not isinstance(v, dict):
-            split = len(v)
-            v = [*v, *[0] * (self.ambient - split)]
-            v[split + m] = 1
         w = self._reduce(self._entry(v))
         if min(w) < split:
             self._store(w)
@@ -475,21 +450,3 @@ def span_sum_rank(s: SpanBasis, t: SpanBasis) -> int:
 
 def span_intersection_dim(s: SpanBasis, t: SpanBasis) -> int:
     return s.rank() + t.rank() - span_sum_rank(s, t)
-
-
-class ExtendRequired(Exception):
-    """Raised by min_dependency when the given vectors are independent."""
-
-
-def min_dependency(vectors: Sequence[Sequence], field=QQ) -> list:
-    """Coefficients (c_0, ..., c_m) of the first linear dependency
-    c_0 v_0 + ... + c_m v_m = 0 with c_m = 1 and m minimal.  Raises
-    ExtendRequired if the whole sequence is independent."""
-    if not vectors:
-        raise ValueError("empty vector sequence")
-    span = SpanBasis(field, len(vectors[0]) + len(vectors))
-    for m, v in enumerate(vectors):
-        dep = span.insert_tagged(v, m)
-        if dep is not None:
-            return dep
-    raise ExtendRequired(f"{len(vectors)} vectors are linearly independent")

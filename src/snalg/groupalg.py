@@ -42,7 +42,7 @@ from itertools import permutations
 from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-from snalg.exactla import QQ, SpanBasis
+from snalg.exactla import QQ, SpanBasis, _clear_denominators
 from snalg.perm import ENUMERATION_CAP, Permutation
 from snalg.perm import sign as perm_sign
 
@@ -153,10 +153,8 @@ class _Element:
             if not 0 <= r < dim:
                 raise ValueError(f"basis index {r} out of range")
             data[r] = data.get(r, 0) + field.normalize(c)
-        # over F_p the normalized scalars are ints, of denominator 1
-        den = lcm(*(c.denominator for c in data.values()))
-        pairs = ((r, c.numerator * (den // c.denominator)) for r, c in data.items())
-        return cls._canonical(n, field, pairs, den)
+        nums, den = _clear_denominators(list(data.values()))
+        return cls._canonical(n, field, zip(data, nums), den)
 
     @staticmethod
     def _index(n: int, key) -> int:
@@ -198,6 +196,11 @@ class _Element:
     @classmethod
     def zero(cls, n: int, field=QQ):
         return cls._raw(n, field, {})
+
+    @classmethod
+    def from_vector(cls, n: int, vec: Sequence, field=QQ):
+        """The element with coordinates vec, by index (see `to_vector`)."""
+        return cls(n, field, enumerate(vec))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -306,10 +309,6 @@ class AlgebraElement(_Element):
         if w.n != self.n:
             raise ValueError("permutation size mismatch")
         return super().coeff(w.rank())
-
-    @classmethod
-    def from_vector(cls, n: int, field, vec: Sequence) -> "AlgebraElement":
-        return cls(n, field, enumerate(vec))
 
     # -- ring structure ----------------------------------------------------
 
@@ -508,11 +507,9 @@ def _board_combination(n: int, field, terms: Iterable, den: int = 1) -> AlgebraE
     added up in one integer list over den times the common denominator of
     the c."""
     terms = [(rows, c if isinstance(c, int) else field.normalize(c)) for rows, c in terms]
-    # over F_p the normalized scalars are ints, of denominator 1
-    common = lcm(*(c.denominator for _, c in terms))
+    nums, common = _clear_denominators([c for _, c in terms])
     acc = [0] * factorial(n)
-    for rows, c in terms:
-        c = c.numerator * (common // c.denominator)
+    for (rows, _), c in zip(terms, nums):
         for r in _board_ranks(n, rows):
             acc[r] += c
     return AlgebraElement._canonical(n, field, enumerate(acc), den * common)
@@ -570,8 +567,7 @@ def _divisors(m: int) -> list[int]:
 def _find_rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
     """Some rational root of the polynomial, or None.  Assumes nonzero
     constant term."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
+    ints, _ = _clear_denominators(coeffs)
     const, lead = ints[0], ints[-1]
     for q in _divisors(lead):
         for p in _divisors(const):

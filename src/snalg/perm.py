@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import permutations as _itpermutations
+from math import factorial
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -79,12 +80,12 @@ class Permutation:
     @classmethod
     def unrank(cls, n: int, r: int) -> "Permutation":
         """The r-th permutation of [n] in lexicographic order (r from 0)."""
-        if not 0 <= r < _factorial(n):
+        if not 0 <= r < factorial(n):
             raise ValueError(f"rank {r} out of range for n={n}")
         pool = list(range(n))
         img = []
         for i in range(n, 0, -1):
-            f = _factorial(i - 1)
+            f = factorial(i - 1)
             q, r = divmod(r, f)
             img.append(pool.pop(q))
         return cls._from_zero(tuple(img))
@@ -109,7 +110,7 @@ class Permutation:
         r = 0
         for i, v in enumerate(img):
             smaller = sum(1 for u in img[i + 1 :] if u < v)
-            r += smaller * _factorial(n - 1 - i)
+            r += smaller * factorial(n - 1 - i)
         return r
 
     def to_string(self) -> str:
@@ -137,13 +138,6 @@ class Permutation:
 
     def __ge__(self, other: "Permutation") -> bool:
         return self._img >= other._img
-
-
-def _factorial(n: int) -> int:
-    f = 1
-    for i in range(2, n + 1):
-        f *= i
-    return f
 
 
 def identity(n: int) -> Permutation:
@@ -285,12 +279,12 @@ def enumerate_av_prime(n: int, m: int, cap: int = ENUMERATION_CAP) -> list[Permu
     return _avoiders(n, m, cap, True)
 
 
-def lis_ending_lengths(w: Permutation) -> list[int]:
-    """For each position j (1-indexed list order), the length of the longest
-    increasing subsequence of w ending exactly at w(j)."""
+def _increasing_ending_lengths(values: Iterable[int]) -> list[int]:
+    """For each value in turn, the length of the longest strictly
+    increasing subsequence ending at it, by patience sorting."""
     tails: list[int] = []
     lengths = []
-    for v in w._img:
+    for v in values:
         i = bisect_left(tails, v)
         if i == len(tails):
             tails.append(v)
@@ -300,19 +294,17 @@ def lis_ending_lengths(w: Permutation) -> list[int]:
     return lengths
 
 
+def lis_ending_lengths(w: Permutation) -> list[int]:
+    """For each position j (1-indexed list order), the length of the longest
+    increasing subsequence of w ending exactly at w(j)."""
+    return _increasing_ending_lengths(w._img)
+
+
 def lis_starting_lengths(w: Permutation) -> list[int]:
     """For each position j (1-indexed list order), the length of the longest
-    increasing subsequence of w starting exactly at w(j)."""
-    img = w._img
-    n = len(img)
-    lengths = [1] * n
-    for j in range(n - 2, -1, -1):
-        best = 0
-        for i in range(j + 1, n):
-            if img[i] > img[j] and lengths[i] > best:
-                best = lengths[i]
-        lengths[j] = best + 1
-    return lengths
+    increasing subsequence of w starting exactly at w(j): read backwards
+    with the values negated, such a subsequence increases and ends at j."""
+    return _increasing_ending_lengths(-v for v in reversed(w._img))[::-1]
 
 
 def erdos_szekeres_decomposition(v: Permutation, k: int):

@@ -297,7 +297,7 @@ def product_rule_b(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> Alge
     terms = [
         (_rows(n, umask, vmask), coeff)
         for coeff, us, vs in zip(row, _subsets_of(D.mask), _subsets_of(A.mask))
-        if field.from_int(coeff)
+        if field.normalize(coeff)
         for umask in us
         for vmask in vs
     ]
@@ -311,7 +311,7 @@ def product_rule_c(D: Subset, C: Subset, B: Subset, A: Subset, field=QQ) -> Alge
     terms = [
         (_rows(n, D.mask, vmask, tilde=True), coeff)
         for coeff, vs in zip(row, _subsets_of(A.mask))
-        if field.from_int(coeff)
+        if field.normalize(coeff)
         for vmask in vs
     ]
     return _board_combination(n, field, terms)
@@ -403,7 +403,7 @@ def delta_D_alpha(D: Subset, alpha: Mapping[Subset, object], k: int, field=QQ):
     _check_alpha(D, alpha)
     acc = field.zero
     for C, c in alpha.items():
-        acc += field.normalize(c) * field.from_int(delta(D, C, k))
+        acc += field.normalize(c) * field.normalize(delta(D, C, k))
     return field.normalize(acc)
 
 

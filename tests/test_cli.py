@@ -34,6 +34,21 @@ def test_minpol_table_golden_passes_small(capsys):
         assert out.startswith("golden table match")
 
 
+def test_minpol_table_golden_mismatch_exits_1(capsys, monkeypatch):
+    from snalg import cli
+
+    real = cli.golden_minpol_rows(2)
+    # one wrong row, and one reference row missing
+    monkeypatch.setattr(cli, "golden_minpol_rows", lambda n: [(*real[0][:4], "x"), real[1]])
+    code, out = run(capsys, "minpol-table", "--n", "2", "--golden")
+    assert code == 1
+    assert out.splitlines() == [
+        f"row 0: computed {real[0]} != reference {(*real[0][:4], 'x')}",
+        f"row 2: computed {real[2]} != reference None",
+        "golden table: MISMATCH",
+    ]
+
+
 def test_minpol_table_json_row_count(capsys):
     code, out = run(capsys, "minpol-table", "--n", "4", "--format", "json")
     assert code == 0
@@ -71,6 +86,32 @@ def test_ideal_suite_n2_k0(capsys):
     assert [r["report"] for r in reports] == ["verify_row_main", "twin_check"]
     assert reports[0]["data"] == {"rank_I": 0, "rank_J": 2}
     assert all(r["passed"] for r in reports)
+
+
+def test_ideal_suite_failure_prints_the_witness(capsys, monkeypatch):
+    # the J-basis corrupted as in test_ideals: the identity added to J[3]
+    from snalg import ideals
+    from test_ideals import corrupted, exhaustive_annihilation_witness
+
+    build = ideals.build_J_basis
+    monkeypatch.setattr(ideals, "build_J_basis", lambda *a, **kw: corrupted(build(*a, **kw), 3))
+    witness = exhaustive_annihilation_witness(
+        ideals.build_I_basis(4, 2), ideals.build_J_basis(4, 2)
+    )
+    assert witness is not None
+    code, out = run(capsys, "ideal-suite", "--n", "4", "--k", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "verify_row_main(n=4, k=2, field=Q): FAIL"
+    assert f"  [fail] mutual_annihilation [witness: {witness}]" in lines
+    code, out = run(capsys, "ideal-suite", "--n", "4", "--k", "2", "--format", "json")
+    assert code == 1
+    report = json.loads(out)[0]
+    assert report["passed"] is False
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["mutual_annihilation"] == {
+        "name": "mutual_annihilation", "status": "fail", "witness": witness
+    }
 
 
 def test_ideal_suite_prime_field(capsys):

@@ -425,6 +425,14 @@ def test_associativity_bad_mode():
         associativity_check(2, mode="fuzzy")
 
 
+@pytest.mark.parametrize("check", [associativity_check, quotient_map_check])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_non_positive_trials_rejected(check, trials):
+    # a check that would run no cases must not report a pass
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        check(5, trials=trials)
+
+
 def test_cap_enforced():
     with pytest.raises(ValueError):
         associativity_check(6)

@@ -10,10 +10,7 @@ from snalg.exactla import (
     GF,
     QQ,
     DenseMatrix,
-    ExtendRequired,
     SpanBasis,
-    min_dependency,
-    require_invertible_factorial,
     span_equal,
     span_intersection_dim,
     span_sum_rank,
@@ -50,15 +47,6 @@ def test_fields_basics():
 def test_scalars_falsy_iff_zero():
     assert not QQ.zero and QQ.one
     assert not GF(7).zero and GF(7).one
-
-
-def test_require_invertible_factorial():
-    require_invertible_factorial(QQ, 100)
-    require_invertible_factorial(GF(7), 5)
-    with pytest.raises(ValueError, match="divides"):
-        require_invertible_factorial(GF(3), 3)
-    with pytest.raises(ValueError, match="divides"):
-        require_invertible_factorial(GF(2), 4)
 
 
 def matvec(field, rows, x):
@@ -178,6 +166,25 @@ def test_span_over_prime_field():
     assert s.rank() == 2
 
 
+def tagged(v, m, split, t=1):
+    """t·[v | e_m] as the sparse dict `SpanBasis.insert_tagged` takes: the
+    nonzero entries of v, and the tag t at split + m."""
+    return {**{j: t * x for j, x in enumerate(v) if x}, split + m: t}
+
+
+def min_dependency(vectors, field=QQ):
+    """The first linear dependency (c_0, ..., c_m), c_m = 1, of the
+    sequence, read off one tagged span the way the Krylov loop of
+    `element_min_poly` reads it, or None if the sequence is independent."""
+    dim = len(vectors[0])
+    span = SpanBasis(field, dim + len(vectors))
+    for m, v in enumerate(vectors):
+        dep = span.insert_tagged(tagged(v, m, dim), m, dim)
+        if dep is not None:
+            return dep
+    return None
+
+
 def test_min_dependency_examples():
     v = [Fraction(2), Fraction(3)]
     dep = min_dependency([v, v])
@@ -187,10 +194,7 @@ def test_min_dependency_examples():
     # nilpotent of index 2: vectors v, Nv, N^2 v
     dep = min_dependency([[0, 1], [1, 0], [0, 0]])
     assert len(dep) == 3 and dep[-1] == 1 and dep[0] == dep[1] == 0
-    with pytest.raises(ExtendRequired):
-        min_dependency([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        min_dependency([])
+    assert min_dependency([[1, 0], [0, 1]]) is None
 
 
 def test_min_dependency_random():
@@ -201,9 +205,9 @@ def test_min_dependency_random():
         vectors = [
             [Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(count)
         ]
-        try:
-            dep = min_dependency(vectors)
-        except ExtendRequired:
+        dep = min_dependency(vectors)
+        if dep is None:
+            assert gj.rank(QQ, vectors, dim) == count
             continue
         m = len(dep) - 1
         assert dep[m] == 1
@@ -212,8 +216,8 @@ def test_min_dependency_random():
         ]
         assert not any(combo)
         # minimality: the prefix is independent
-        with pytest.raises(ExtendRequired):
-            min_dependency(vectors[:m])
+        assert min_dependency(vectors[:m]) is None
+        assert gj.rank(QQ, vectors[:m], dim) == m
 
 
 def test_min_dependency_prime_field():
@@ -447,25 +451,26 @@ def test_min_dependency_random_over_fp(p):
         assert not any(
             sum(dep[i] * vectors[i][j] for i in range(m + 1)) % p for j in range(dim)
         )
+        assert gj.rank(f, vectors[:m], dim) == m
         if m:
-            with pytest.raises(ExtendRequired):
-                min_dependency(vectors[:m], field=f)
+            assert min_dependency(vectors[:m], field=f) is None
 
 
 def test_insert_tagged_leaves_span_unchanged_on_dependency():
     s = SpanBasis(QQ, 2 + 3)
-    assert s.insert_tagged([1, 2], 0) is None
-    assert s.insert_tagged([0, 1], 1) is None
+    assert s.insert_tagged(tagged([1, 2], 0, 2), 0, 2) is None
+    assert s.insert_tagged(tagged([0, 1], 1, 2), 1, 2) is None
     before = s.copy()
-    assert s.insert_tagged([2, 7], 2) == [-2, -3, 1]
+    assert s.insert_tagged(tagged([2, 7], 2, 2), 2, 2) == [-2, -3, 1]
     assert s == before
 
 
 def test_min_poly_matches_recorded_krylov_dependencies():
     """Every kappa row at n <= 6: the minimal polynomial coefficients as
-    recorded from the earlier Fraction-row min_dependency (n <= 5) and from
-    the product before it worked coset by coset (n = 6), and the same
-    dependency found by min_dependency on the explicit power list."""
+    recorded from an earlier dense Fraction-row dependency search (n <= 5)
+    and from the product before it worked coset by coset (n = 6), and the
+    same dependency found by tagged insertion of the explicit power
+    vectors."""
     from snalg.groupalg import AlgebraElement, element_min_poly, mul
     from snalg.rook import kappa, kappa_rows
 
@@ -485,8 +490,7 @@ def test_min_poly_matches_recorded_krylov_dependencies():
             powers.append(mul(powers[-1], elem))
         vectors = [x.to_vector() for x in powers]
         assert min_dependency(vectors) == want
-        with pytest.raises(ExtendRequired):
-            min_dependency(vectors[:-1])
+        assert min_dependency(vectors[:-1]) is None
 
 
 def _sparse(v, rng):
@@ -551,8 +555,8 @@ def test_sparse_entry_ignores_zeros_and_checks_columns(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
 def test_sparse_tagged_insert_finds_the_dense_dependency(field):
-    # a sparse input t·[v | e_m], t any nonzero scalar, gives the same
-    # dependency as the dense [v | e_m]
+    # an input t·[v | e_m], t any nonzero scalar, gives the same dependency
+    # as [v | e_m], and it is the first dependency of the dense vectors
     p = field.characteristic
     rng = random.Random(23 + p)
     for _ in range(20):
@@ -561,14 +565,18 @@ def test_sparse_tagged_insert_finds_the_dense_dependency(field):
             [rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(dim)]
             for _ in range(dim + 2)
         ]
-        dense = SpanBasis(field, dim + len(vectors))
-        sparse = SpanBasis(field, dim + len(vectors))
+        unit = SpanBasis(field, dim + len(vectors))
+        scaled = SpanBasis(field, dim + len(vectors))
         for m, v in enumerate(vectors):
             t = rng.choice([1, 2, 3, 5]) * rng.choice([1, -1])
-            tagged = {j: t * x for j, x in enumerate(v) if x}
-            tagged[dim + m] = t
-            dep = dense.insert_tagged(v, m)
-            assert sparse.insert_tagged(tagged, m, dim) == dep
-            assert sparse == dense
+            dep = unit.insert_tagged(tagged(v, m, dim), m, dim)
+            assert scaled.insert_tagged(tagged(v, m, dim, t), m, dim) == dep
+            assert scaled == unit
             if dep is not None:
                 break
+        # the dependency is the first one: v_0..v_{m-1} are independent
+        assert gj.rank(field, vectors[:m], dim) == m
+        if dep is not None:
+            assert gj.rank(field, vectors[: m + 1], dim) == m
+            combo = [sum(c * v[j] for c, v in zip(dep, vectors)) for j in range(dim)]
+            assert not any(map(field.normalize, combo))

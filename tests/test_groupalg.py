@@ -379,7 +379,7 @@ def test_canonical_form_after_every_operation():
             b = random_element(rng, 4, field)
             for x in (
                 a, add(a, b), a - a, scale(Fraction(3, 7), a), scale(0, a), mul(a, b),
-                sign_twist(a), antipode(a), AlgebraElement.from_vector(4, field, a.to_vector()),
+                sign_twist(a), antipode(a), AlgebraElement.from_vector(4, a.to_vector(), field),
             ):
                 assert_canonical(x)
     half = AlgebraElement(3, QQ, [(Permutation([2, 1, 3]), Fraction(1, 2)), (identity(3), 1)])
@@ -396,7 +396,7 @@ def test_construction_paths_agree():
             b = random_element(rng, 4, field)
             one = AlgebraElement.one(4, field)
             assert AlgebraElement(4, field, list(a.items())) == a
-            assert AlgebraElement.from_vector(4, field, a.to_vector()) == a
+            assert AlgebraElement.from_vector(4, a.to_vector(), field) == a
             assert add(b, a - b) == a
             assert scale(-1, scale(-1, a)) == a
             assert mul(one, a) == a

@@ -50,3 +50,43 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(modules) >= 10
     for path in modules:
         assert unused_imports(path.read_text()) == [], path.name
+
+
+def unread_private_functions(sources: list[str]) -> list[str]:
+    """The module-level functions named with a leading underscore in
+    `sources` that no other top-level statement of `sources` reads, as a
+    name, an attribute or an imported name.  A function that only reads
+    itself counts as unread."""
+    statements = [stmt for source in sources for stmt in ast.parse(source).body]
+    reads = []
+    for stmt in statements:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {a.name for a in node.names}
+        reads.append(names)
+    return [
+        stmt.name
+        for i, stmt in enumerate(statements)
+        if isinstance(stmt, ast.FunctionDef)
+        and stmt.name.startswith("_")
+        and not any(stmt.name in names for j, names in enumerate(reads) if j != i)
+    ]
+
+
+def test_every_private_function_is_read():
+    sample = [
+        "def _used(): pass\n"
+        "def _recursive(): return _recursive()\n"
+        "def _by_attribute(): pass\n"
+        "def public(): return _used()\n",
+        "import m\nfrom m import _imported\nm._by_attribute\n_stored = 1\n",
+        "def _imported(): pass\ndef _stored(): pass\n",
+    ]
+    assert unread_private_functions(sample) == ["_recursive", "_stored"]
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert unread_private_functions(sources) == []

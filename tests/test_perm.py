@@ -20,6 +20,7 @@ from snalg.perm import (
     lds_length,
     lis_ending_lengths,
     lis_length,
+    lis_starting_lengths,
     sign,
     w0,
 )
@@ -195,6 +196,16 @@ def test_lis_ending_lengths():
     for v in all_permutations(5):
         lengths = lis_ending_lengths(v)
         assert max(lengths, default=0) == lis_length(v)
+
+
+def test_lis_starting_lengths_match_brute_force():
+    # an increasing subsequence starting at w(j) is w(j) followed by one of
+    # the values after position j that exceed w(j)
+    for n in range(8):
+        for w in all_permutations(n):
+            oln = w.oln
+            want = [1 + brute_lis([x for x in oln[j + 1 :] if x > v]) for j, v in enumerate(oln)]
+            assert lis_starting_lengths(w) == want, oln
 
 
 def test_erdos_szekeres_blocks():

@@ -1,0 +1,15 @@
+"""The python examples of README.md run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_python_block_of_the_readme_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 3
+    for i, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md, python block {i}", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "5 39"
