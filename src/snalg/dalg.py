@@ -51,7 +51,7 @@ from math import comb
 
 from snalg.exactla import QQ, SpanBasis, _clear_denominators
 from snalg.groupalg import AlgebraElement, _board_combination, _Element, _scalar, mul as algebra_mul
-from snalg.perm import _check_n_range
+from snalg.perm import _check_n_range, _check_trials
 from snalg.report import Report
 from snalg.rook import Subset, _coeff_row, _rows, _subsets_of, delta, subsets_of_size
 
@@ -250,8 +250,7 @@ def associativity_check(n: int, mode: str = None, trials: int = 10000, seed: int
     regrouping identity in the module docstring holds for any row table, so
     equal rows are equal products, triple for triple."""
     _check_n_range(n, DALG_CAP)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_trials(trials)
     if mode is None:
         mode = "exhaustive" if n <= 3 else "sampled"
     if mode not in ("exhaustive", "sampled"):
@@ -471,8 +470,7 @@ def quotient_map_check(n: int, trials: int = 500, seed: int = 0, field=QQ) -> Re
     """Δ_{B,A} ↦ ∇_{B,A} is multiplicative: exhaustive over basis pairs
     for n ≤ 3, seeded samples otherwise."""
     _check_n_range(n, DALG_CAP)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_trials(trials)
     rep = Report("quotient_map_check", n=n, field=field.name)
     dim = d_dim(n)
     exhaustive = n <= 3

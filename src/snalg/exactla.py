@@ -39,7 +39,6 @@ __all__ = [
     "PrimeField",
     "DenseMatrix",
     "SpanBasis",
-    "span_equal",
     "span_sum_rank",
     "span_intersection_dim",
 ]
@@ -431,12 +430,6 @@ class SpanBasis:
 
     def __repr__(self) -> str:
         return f"SpanBasis({self.field!r}, ambient={self.ambient}, rank={self.rank()})"
-
-
-def span_equal(s: SpanBasis, t: SpanBasis) -> bool:
-    if s.field != t.field or s.ambient != t.ambient:
-        raise ValueError("spans live in different ambient spaces")
-    return s == t
 
 
 def span_sum_rank(s: SpanBasis, t: SpanBasis) -> int:

@@ -53,7 +53,6 @@ __all__ = [
     "mul",
     "antipode",
     "sign_twist",
-    "coeff_one",
     "dot",
     "board_sum",
     "group_sum",
@@ -199,7 +198,11 @@ class _Element:
 
     @classmethod
     def from_vector(cls, n: int, vec: Sequence, field=QQ):
-        """The element with coordinates vec, by index (see `to_vector`)."""
+        """The element with coordinates vec, by index (see `to_vector`);
+        vec has one entry per basis element."""
+        dim = cls._dim(n)
+        if len(vec) != dim:
+            raise ValueError(f"vector length {len(vec)} != dimension {dim}")
         return cls(n, field, enumerate(vec))
 
     def is_zero(self) -> bool:
@@ -422,11 +425,6 @@ def sign_twist(a: AlgebraElement) -> AlgebraElement:
     """The automorphism sending w to (-1)^w w."""
     signs = _sign_table(a.n)
     return a._canonical(a.n, a.field, ((r, signs[r] * c) for r, c in a._terms.items()), a._den)
-
-
-def coeff_one(a: AlgebraElement):
-    """Coefficient of the identity permutation (lex rank 0)."""
-    return _scalar(a.field, a._terms.get(0, 0), a._den)
 
 
 def dot(a: AlgebraElement, b: AlgebraElement):

@@ -38,6 +38,7 @@ from snalg.perm import (
     Permutation,
     _avoider_ranks,
     _check_n_range,
+    _check_trials,
     compose,
     enumerate_av,
     erdos_szekeres_decomposition,
@@ -319,8 +320,7 @@ def verify_row_main(
     Quotient bases (vi) pass by the triangular argument of
     `_completion_rank` when it applies, and by elimination otherwise."""
     _check_n_range(n, cap)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_trials(trials)
     rep = Report("verify_row_main", n=n, k=k, field=field.name)
     rng = random.Random(seed)
     n_fact = factorial(n)

@@ -29,7 +29,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "Permutation",
     "identity",
-    "w0",
     "compose",
     "inverse",
     "sign",
@@ -144,11 +143,6 @@ def identity(n: int) -> Permutation:
     return Permutation._from_zero(tuple(range(n)))
 
 
-def w0(n: int) -> Permutation:
-    """The order-reversing permutation i -> n+1-i."""
-    return Permutation._from_zero(tuple(range(n - 1, -1, -1)))
-
-
 def compose(u: Permutation, v: Permutation) -> Permutation:
     """The product uv, acting as (uv)(i) = u(v(i))."""
     if u.n != v.n:
@@ -238,6 +232,12 @@ def _check_n_range(n: int, cap: int) -> None:
     """The n-range check of the capped verifications: 1 <= n <= cap."""
     if not 1 <= n <= cap:
         raise ValueError(f"n = {n} outside supported range 1..{cap}")
+
+
+def _check_trials(trials: int) -> None:
+    """The trial-count check of the sampled verifications: trials >= 1."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
 
 def _monotone_lengths(n: int) -> tuple[bytes, bytes]:

@@ -38,7 +38,7 @@ from snalg.groupalg import (
     mul,
     scale,
 )
-from snalg.perm import Permutation, _check_n_range
+from snalg.perm import Permutation, _check_n_range, _check_trials
 
 __all__ = [
     "Subset",
@@ -323,8 +323,7 @@ def product_rule_fuzz(n: int, trials: int = 200, seed: int = 0, field=QQ) -> "Re
     from snalg.report import Report
 
     _check_n_range(n, PRODUCT_RULE_B_MAX_N)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_trials(trials)
     exhaustive = n <= 4
     rep = Report(
         "product_rule_fuzz",

@@ -21,7 +21,6 @@ from snalg.groupalg import (
     add,
     antipode,
     board_sum,
-    coeff_one,
     dot,
     element_min_poly,
     group_sum,
@@ -401,7 +400,17 @@ def test_construction_paths_agree():
             assert scale(-1, scale(-1, a)) == a
             assert mul(one, a) == a
             assert scale(Fraction(1, 3), scale(3, a)) == a
-            assert dot(a, one) == coeff_one(a)
+            assert dot(a, one) == a.coeff(identity(4))
+
+
+def test_from_vector_needs_one_entry_per_basis_element():
+    from snalg.dalg import DElement, d_dim
+
+    for cls, n, dim in ((AlgebraElement, 3, 6), (DElement, 2, d_dim(2))):
+        assert cls.from_vector(n, [0] * (dim - 1) + [1]) == cls(n, QQ, {dim - 1: 1})
+        for length in (0, 1, dim - 1, dim + 1):
+            with pytest.raises(ValueError, match=f"vector length {length} != dimension {dim}"):
+                cls.from_vector(n, [1] * length)
 
 
 def test_antipode_involution_and_antihom():
@@ -436,10 +445,10 @@ def test_dot_identities():
     for _ in range(12):
         a = random_element(rng, 4)
         b = random_element(rng, 4)
-        assert dot(a, b) == coeff_one(mul(antipode(a), b))
-        assert dot(a, b) == coeff_one(mul(b, antipode(a)))
-        assert dot(a, b) == coeff_one(mul(antipode(b), a))
-        assert dot(a, b) == coeff_one(mul(a, antipode(b)))
+        assert dot(a, b) == mul(antipode(a), b).coeff(identity(4))
+        assert dot(a, b) == mul(b, antipode(a)).coeff(identity(4))
+        assert dot(a, b) == mul(antipode(b), a).coeff(identity(4))
+        assert dot(a, b) == mul(a, antipode(b)).coeff(identity(4))
         assert dot(a, b) == dot(antipode(a), antipode(b))
         assert dot(a, b) == dot(b, a)
 

@@ -12,12 +12,18 @@ from snalg.exactla import GF, QQ
 from snalg.groupalg import AlgebraElement, mul, sign_twist
 import snalg.reps as reps
 from snalg.ideals import IdealBasis, build_I_basis, build_J_basis
-from snalg.perm import Permutation, all_permutations, compose, inverse
+from snalg.perm import (
+    Permutation,
+    all_permutations,
+    compose,
+    enumerate_av,
+    enumerate_av_prime,
+    inverse,
+)
 from snalg.reps import (
     Partition,
     annihilator_check_N,
     annihilator_check_V,
-    apply_element,
     count_identity_check,
     entry_action,
     f_lambda,
@@ -31,6 +37,8 @@ from snalg.reps import (
 )
 from snalg.rook import Subset
 from snalg.setdecomp import antisymmetrizer
+
+import gauss_jordan as gj
 
 
 class TestPartition:
@@ -210,76 +218,113 @@ class TestModuleActions:
                         iuv = action.index_action(compose(u, v))
                         assert [iu[x] for x in action.index_action(v)] == iuv
 
-    def test_matrix_convention(self):
-        action = entry_action(3, 1)
-        w = Permutation([2, 3, 1])
-        vec = action.vectorized(w)
-        for j in range(3):
-            col = [vec[i * 3 + j] for i in range(3)]
-            assert col[w(j + 1) - 1] == 1
-            assert sum(1 for x in col if x) == 1
-
-    def test_vectorized_is_int_flattened_matrix(self):
-        for action in (place_action(3, 2), entry_action(3, 2)):
-            for w in all_permutations(3):
-                vec = action.vectorized(w)
-                assert all(type(x) is int for x in vec)
-                m = apply_element(action, AlgebraElement.from_perm(w))
-                assert vec == [x for row in m for x in row]
-
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             place_action(6, 5)
 
 
+def _flattened(action, w, field):
+    """The 0/1 matrix of ρ(w), flattened row-major to length d²."""
+    d = action.dim
+    vec = [field.zero] * (d * d)
+    for t, s in enumerate(action.index_action(w)):
+        vec[s * d + t] = field.one
+    return vec
+
+
+def _matrix(action, a):
+    """Σ_w coeff_a(w)·ρ(w) as d rows of field scalars, by brute force."""
+    field = a.field
+    d = action.dim
+    rows = [[field.zero] * d for _ in range(d)]
+    for w, c in a.items():
+        for t, s in enumerate(action.index_action(w)):
+            rows[s][t] = field.normalize(rows[s][t] + c)
+    return rows
+
+
 class TestApplyElement:
+    """An element of k[S_n] applied to a tensor module, through the
+    predicate ρ(a) = 0."""
+
     def test_identity_element(self):
         action = place_action(3, 2)
-        m = apply_element(action, AlgebraElement.one(3))
-        assert m == [
-            [QQ.one if i == j else QQ.zero for j in range(8)] for i in range(8)
-        ]
+        assert not reps._acts_as_zero(action, AlgebraElement.one(3))
+        assert reps._acts_as_zero(action, AlgebraElement.zero(3))
+        with pytest.raises(ValueError, match="size mismatch"):
+            reps._acts_as_zero(action, AlgebraElement.one(4))
 
     def test_antisymmetrizer_kills_place_module(self):
         for n, k in ((3, 2), (4, 2), (4, 3)):
             action = place_action(n, k)
-            U = Subset(n, range(1, k + 2))
-            m = apply_element(action, antisymmetrizer(U))
-            assert all(not any(row) for row in m)
+            assert reps._acts_as_zero(action, antisymmetrizer(Subset(n, range(1, k + 2))))
+            # a word with k distinct letters on k places survives their antisymmetrizer
+            assert not reps._acts_as_zero(action, antisymmetrizer(Subset(n, range(1, k + 1))))
 
     def test_twisted_I_kills_entry_module(self):
         n, k = 4, 2
         action = entry_action(n, k)
         for e in build_I_basis(n, n - k - 1).elements:
-            m = apply_element(action, sign_twist(e))
-            assert all(not any(row) for row in m)
+            assert reps._acts_as_zero(action, sign_twist(e))
+            assert not reps._acts_as_zero(action, e)
 
     @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
     def test_matches_sum_of_permutation_matrices(self, field):
+        """Random elements of the annihilating ideal, some with one random
+        term added, against the brute-force matrix sum; both answers
+        occur."""
         rng = random.Random(5)
-        for action in (place_action(4, 2), entry_action(4, 2)):
-            n = action.n
-            perms = list(all_permutations(n))
-            terms = [
-                (rng.choice(perms), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-                for _ in range(6)
-            ]
-            a = AlgebraElement(n, field, terms)
-            want = [[field.zero] * action.dim for _ in range(action.dim)]
-            for w, c in a.items():
-                for t, i in enumerate(action.index_action(w)):
-                    want[i][t] = field.normalize(want[i][t] + c)
-            got = apply_element(action, a)
-            assert got == want
-            assert all(type(x) is type(field.zero) for row in got for x in row)
+        n = 4
+        perms = list(all_permutations(n))
+        cases = (
+            (place_action(n, 2), build_J_basis(n, 2, field).elements),
+            (entry_action(n, 1), [sign_twist(e) for e in build_I_basis(n, 2, field).elements]),
+        )
+        seen = set()
+        for action, ideal in cases:
+            for _ in range(8):
+                a = AlgebraElement.zero(n, field)
+                for e in rng.sample(ideal, 3):
+                    a = a + Fraction(rng.randint(-9, 9), rng.randint(1, 4)) * e
+                if rng.random() < 0.5:
+                    a = a + AlgebraElement.from_perm(rng.choice(perms), field, rng.randint(1, 6))
+                zero = not any(any(row) for row in _matrix(action, a))
+                assert reps._acts_as_zero(action, a) == zero
+                seen.add(zero)
+        assert seen == {True, False}
 
     def test_entries_reduced_mod_p(self):
         # S_3 acts trivially on V_1^{⊗3}, so 3 + 4·s_1 acts as 7
         action = place_action(3, 1)
         s1 = Permutation([2, 1, 3])
-        for field, want in ((QQ, 7), (GF(7), 0)):
+        for field, zero in ((QQ, False), (GF(7), True)):
             a = AlgebraElement(3, field, [(Permutation([1, 2, 3]), 3), (s1, 4)])
-            assert apply_element(action, a) == [[want]]
+            assert reps._acts_as_zero(action, a) == zero
+
+
+class TestImageRank:
+    """`_image_rank`, read on the transpose, against the rank of the
+    flattened matrices ρ(w) by dense Gauss–Jordan elimination."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+    def test_matches_rank_of_flattened_matrices(self, field):
+        rng = random.Random(23)
+        for n in range(1, 5):
+            perms = list(all_permutations(n))
+            actions = [(place_action(n, k), k) for k in (2, 3)]
+            actions += [(entry_action(n, k), k) for k in (1, 2)]
+            for action, k in actions:
+                row_sets = [
+                    perms,
+                    enumerate_av(n, k + 1),
+                    enumerate_av_prime(n, k + 1),
+                    rng.sample(perms, rng.randint(0, len(perms))),
+                ]
+                for row_set in row_sets:
+                    want = gj.rank(
+                        field, [_flattened(action, w, field) for w in row_set], action.dim**2
+                    )
+                    assert reps._image_rank(action, row_set, field) == want, (action, field)
 
 
 class TestAnnihilatorChecks:
