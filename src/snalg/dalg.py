@@ -31,6 +31,17 @@ side).  These only regroup finite integer sums, so they hold for any row
 table, and every size class of the block (D, E) is nonempty: the rows are
 equal exactly when the expanded products are.
 
+The center and the unity are solved on a generating set, not on every
+symbol.  With R_m = {1..m}, the product rule gives
+Δ_{D,R_m}·Δ_{R_m,A} = m!(n−m)!·Δ_{D,A}, so over Q the 2^{n+1} − (n+1)
+symbols Δ_{D,R_m} and Δ_{R_m,A} generate the algebra.  Over F_p the
+factor may vanish: up to n = 5 they generate over F_5 and F_7, but not
+over F_2 from n = 3 on, nor over F_3 from n = 4 on.  So `_generators`
+decides it per (n, field) with a certificate: the span of the
+generators, grown by their products until it is the whole algebra or
+stops growing.  Where the certificate fails, the systems run over every
+symbol.
+
 The module provides exact multiplication, associativity verification,
 unity search, center and Jacobson-radical dimensions (radical over the
 rationals via the trace form on the unitalization), and the linear map
@@ -320,11 +331,46 @@ def _multiplication_columns(n: int, i: int):
     return right, left
 
 
-def _unity_equations(n: int):
-    """The equations e·Δᵢ = Δᵢ and Δᵢ·e = Δᵢ, one per generator i and
+def _words_span(n: int, field, gens) -> bool:
+    """Whether the words in the symbols `gens` span the Δ-algebra over
+    `field`.  The span starts as span(gens) and takes in x·g for each g in
+    gens and each x that raised its rank, until it is everything (True) or
+    nothing new comes in (False).  Every vector taken in is a combination
+    of words, so True proves that gens generate.  At False the span holds
+    gens and is closed under right multiplication by them, so it holds
+    every word: the words span a proper subalgebra."""
+    dim = d_dim(n)
+    p = field.characteristic
+    span = SpanBasis(field, dim)
+    new = [{g: 1} for g in gens if span.insert({g: 1})]
+    for x in new:
+        if span.rank() == dim:
+            break
+        for g in gens:
+            y = _mul_coeffs(n, x, {g: 1})
+            if p:
+                y = {t: c % p for t, c in y.items() if c % p}
+            if span.insert(y):
+                new.append(y)
+    return span.rank() == dim
+
+
+@lru_cache(maxsize=None)
+def _generators(n: int, field) -> tuple[int, ...]:
+    """The basis indices the center and unity systems run over: those of
+    G = {Δ_{D,R_m}} ∪ {Δ_{R_m,A}}, with R_m = {1..m} and D, A any m-subsets,
+    when `_words_span` certifies that G generates over `field`, and every
+    index otherwise.  |G| = 2^{n+1} − (n+1); the mask of R_m is 2^m − 1."""
+    pairs, _ = _basis_data(n)
+    gens = tuple(i for i, (b, a) in enumerate(pairs) if (1 << b.bit_count()) - 1 in (b, a))
+    return gens if _words_span(n, field, gens) else tuple(range(len(pairs)))
+
+
+def _unity_equations(n: int, gens):
+    """The equations e·Δᵢ = Δᵢ and Δᵢ·e = Δᵢ, one per i in gens and
     target t, as ({s: c}, δ_{it}) meaning Σ_s c·e_s = δ_{it}: c is
     c(s,i,t) for the first and c(i,s,t) for the second."""
-    for i in range(d_dim(n)):
+    for i in gens:
         for cols in _multiplication_columns(n, i):
             for t in set(cols) | {i}:
                 yield cols.get(t, {}), int(t == i)
@@ -332,20 +378,29 @@ def _unity_equations(n: int):
 
 def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
     """The two-sided unity, or None.  Solves the linear system
-    e·Δᵢ = Δᵢ = Δᵢ·e by incremental elimination; a unity is unique when it
-    exists, so the system is either inconsistent or determines e.
+    e·g = g = g·e for g in the generating set of `_generators` by
+    incremental elimination.
+
+    The set is G, 2^{n+1} − (n+1) symbols, where a certificate shows that
+    G generates the algebra over the field, and every symbol otherwise.
+    Either way the solutions are exactly the two-sided unities: e·w = w =
+    w·e follows for every word w in the generators by induction on its
+    length, and the words span.  A unity is unique (e = e·e′ = e′), so the
+    solution set is empty or one point, and a consistent system has full
+    rank: it is inconsistent or it determines e, never underdetermined.
 
     The equations have integer coefficients and `SpanBasis` eliminates
     exactly over the given field (over Q fraction-free, each step scaling a
     vector by a nonzero integer), so a pivot in the right-hand-side column
     proves the system inconsistent.  Elimination stops once the
     coefficients are determined; the candidate is then checked against
-    every equation in integer arithmetic, scaled by its common
+    every equation of the set in integer arithmetic, scaled by its common
     denominator, so a returned element is a two-sided unity."""
     _check_n_range(n, cap)
+    gens = _generators(n, field)
     dim = d_dim(n)
     aug = SpanBasis(field, dim + 1)
-    for cols, rhs in _unity_equations(n):
+    for cols, rhs in _unity_equations(n, gens):
         aug.insert({**cols, dim: rhs})
         if dim in aug.pivots:
             return None
@@ -355,7 +410,7 @@ def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
         raise ArithmeticError("unity system is underdetermined")
     nums, den = _clear_denominators([row[dim] for row in aug.rows])
     num = dict(zip(aug.pivots, nums))
-    for cols, rhs in _unity_equations(n):
+    for cols, rhs in _unity_equations(n, gens):
         total = sum(num.get(s, 0) * m for s, m in cols.items())
         if field.normalize(total - den * rhs):
             return None
@@ -363,9 +418,15 @@ def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
 
 
 def center_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
-    """Dimension of {x : xΔᵢ = Δᵢx for all i}: the nullity of the integer
-    system whose row for generator i and target t is c(s,i,t) − c(i,s,t)
-    over s.
+    """Dimension of the center: the nullity of the integer system whose
+    row for a generator i and target t is c(s,i,t) − c(i,s,t) over s, so
+    that its kernel is {x : x·Δᵢ = Δᵢ·x for every generator i}.
+
+    The generators are those of `_generators`: the 2^{n+1} − (n+1) symbols
+    of G where a certificate shows that G generates the algebra over the
+    field, and every symbol otherwise.  The center of a generated algebra
+    is the centralizer of its generators, since an element that commutes
+    with each generator commutes with every word in them.
 
     The rows go into one `SpanBasis`, which eliminates exactly over the
     given field; over Q it is fraction-free and each step scales a vector
@@ -376,7 +437,7 @@ def center_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
     _check_n_range(n, cap)
     dim = d_dim(n)
     span = SpanBasis(field, dim)
-    for i in range(dim):
+    for i in _generators(n, field):
         right, left = _multiplication_columns(n, i)
         for t in set(right) | set(left):
             row = dict(right.get(t, {}))

@@ -475,13 +475,37 @@ def test_unity_candidate_is_checked_against_every_equation(monkeypatch):
     # e_0 + e_1 = 0, is reached; only the final check can reject it
     import snalg.dalg
 
-    def equations(n):
+    def equations(n, gens):
         yield {0: 1}, 1
         yield {1: 1}, 0
         yield {0: 1, 1: 1}, 0
 
     monkeypatch.setattr(snalg.dalg, "_unity_equations", equations)
     assert unity_find(1) is None
+
+
+def test_unity_candidate_is_checked_against_every_generator_equation(monkeypatch):
+    # on the generating set at n = 3 the candidate is determined after 143
+    # of the 182 equations; the last one, its right-hand side flipped,
+    # refutes it, and only the final check reads that equation
+    gens = dalg._generators(3, QQ)
+    real = list(dalg._unity_equations(3, gens))
+    cols, rhs = real[-1]
+    flipped = real[:-1] + [(cols, 1 - rhs)]
+    read = []
+
+    def equations(n, indices):
+        assert (n, indices) == (3, gens)
+        read.append(0)
+        for eq in flipped:
+            read[-1] += 1
+            yield eq
+
+    monkeypatch.setattr(dalg, "_unity_equations", equations)
+    assert unity_find(3) is None
+    assert read[0] < len(real) == read[1]
+    monkeypatch.setattr(dalg, "_unity_equations", lambda n, indices: iter(real))
+    assert unity_find(3) == reference_unity(3)
 
 
 def test_no_unity_over_f2_at_n2():
@@ -495,6 +519,62 @@ def test_unity_over_f5_at_n3_reduces_rational_formula():
 def test_reference_unity_unknown_n():
     with pytest.raises(ValueError):
         reference_unity(4)
+
+
+# ---------------------------------------------------------------------------
+# the generating set
+
+
+def block_generators(n):
+    """The indices of Δ_{D,R_m} and Δ_{R_m,A}, R_m = {1..m}, over every m
+    and all m-subsets D and A."""
+    out = set()
+    for m in range(n + 1):
+        R = Subset(n, range(1, m + 1))
+        for members in combinations(range(1, n + 1), m):
+            X = Subset(n, members)
+            out |= {basis_index(n, X, R), basis_index(n, R, X)}
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "n, field",
+    [(n, QQ) for n in range(1, 6)] + [(n, GF(p)) for p in (5, 7) for n in range(3, 6)],
+    ids=str,
+)
+def test_generating_set_certified(n, field):
+    gens = dalg._generators(n, field)
+    assert list(gens) == block_generators(n)
+    assert len(gens) == 2 ** (n + 1) - (n + 1)
+    assert dalg._words_span(n, field, gens)
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (4, 3), (5, 3)])
+def test_certificate_refuses_and_falls_back(n, p):
+    # the words in G span a proper subalgebra here, so both systems run
+    # over every symbol
+    assert not dalg._words_span(n, GF(p), tuple(block_generators(n)))
+    assert dalg._generators(n, GF(p)) == tuple(range(d_dim(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_certificate_needs_the_top_symbol(n):
+    # a product of symbols of size below n has only symbols of size below n
+    top = basis_index(n, Subset.full(n), Subset.full(n))
+    gens = tuple(i for i in block_generators(n) if i != top)
+    assert len(gens) == 2 ** (n + 1) - (n + 2)
+    assert not dalg._words_span(n, QQ, gens)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generator_systems_match_full_systems(n, field, monkeypatch):
+    # G against every symbol, certified or not: over F_2 and F_3 the
+    # results agree even on a G that does not generate
+    want = center_dim(n, field), unity_find(n, field)
+    for indices in (block_generators(n), range(d_dim(n))):
+        monkeypatch.setattr(dalg, "_generators", lambda n, field: tuple(indices))
+        assert (center_dim(n, field), unity_find(n, field)) == want
 
 
 # ---------------------------------------------------------------------------
