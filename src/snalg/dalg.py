@@ -78,7 +78,6 @@ __all__ = [
     "unity_find",
     "center_dim",
     "radical_dim",
-    "radical_basis",
     "quotient_map_check",
     "stats",
     "reference_stats",
@@ -198,11 +197,7 @@ class DElement(_Element):
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        bits = []
-        for B, A, c in self.items():
-            text = str(c) if self.field.characteristic == 0 else self.field.scalar_str(c)
-            bits.append(f"{text}*D({B}|{A})")
-        return " + ".join(bits)
+        return " + ".join(f"{c}*D({B}|{A})" for B, A, c in self.items())
 
     def __repr__(self) -> str:
         return f"DElement(n={self.n}, {str(self)})"
@@ -393,9 +388,9 @@ def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
     exactly over the given field (over Q fraction-free, each step scaling a
     vector by a nonzero integer), so a pivot in the right-hand-side column
     proves the system inconsistent.  Elimination stops once the
-    coefficients are determined; the candidate is then checked against
-    every equation of the set in integer arithmetic, scaled by its common
-    denominator, so a returned element is a two-sided unity."""
+    coefficients are determined; the candidate e is then checked by
+    multiplying, e·g = g = g·e for every g in the set, exactly with
+    `d_mul`, so a returned element is a two-sided unity."""
     _check_n_range(n, cap)
     gens = _generators(n, field)
     dim = d_dim(n)
@@ -409,12 +404,12 @@ def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
     else:
         raise ArithmeticError("unity system is underdetermined")
     nums, den = _clear_denominators([row[dim] for row in aug.rows])
-    num = dict(zip(aug.pivots, nums))
-    for cols, rhs in _unity_equations(n, gens):
-        total = sum(num.get(s, 0) * m for s, m in cols.items())
-        if field.normalize(total - den * rhs):
+    e = DElement._canonical(n, field, zip(aug.pivots, nums), den)
+    for i in gens:
+        g = DElement._raw(n, field, {i: 1})
+        if not d_mul(e, g) == g == d_mul(g, e):
             return None
-    return DElement._canonical(n, field, num.items(), den)
+    return e
 
 
 def center_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
@@ -485,15 +480,6 @@ def _unitalized_gram(n: int) -> list[list[int]]:
     return g
 
 
-def _gram_span(n: int) -> SpanBasis:
-    """The span over Q of the rows of the unitalized Gram matrix."""
-    g = _unitalized_gram(n)
-    span = SpanBasis(QQ, len(g))
-    for row in g:
-        span.insert(row)
-    return span
-
-
 def radical_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
     """Dimension of the Jacobson radical over the rationals, as the
     nullity of the trace form on the unitalization (the radical of the
@@ -509,22 +495,11 @@ def radical_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
     _check_n_range(n, cap)
     if field.characteristic != 0:
         raise ValueError("radical computation is supported over the rationals only")
-    span = _gram_span(n)
-    return span.ambient - span.rank()
-
-
-def radical_basis(n: int, cap: int = DALG_CAP) -> list[DElement]:
-    """A basis of the radical over the rationals: the kernel of the trace
-    form on the unitalization, read off the `SpanBasis` of the integer Gram
-    rows by `SpanBasis.kernel`, as coordinates on the Δ-symbols.  The
-    unitalization coordinate of every kernel vector is zero."""
-    _check_n_range(n, cap)
-    out = []
-    for vec in _gram_span(n).kernel():
-        if vec[0]:
-            raise ArithmeticError("radical vector escapes the non-unital part")
-        out.append(DElement(n, QQ, dict(enumerate(vec[1:]))))
-    return out
+    g = _unitalized_gram(n)
+    span = SpanBasis(QQ, len(g))
+    for row in g:
+        span.insert(row)
+    return len(g) - span.rank()
 
 
 def quotient_map_check(n: int, trials: int = 500, seed: int = 0, field=QQ) -> Report:

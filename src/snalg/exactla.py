@@ -66,13 +66,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / self.normalize(x)
 
-    def scalar_str(self, x: Fraction) -> str:
-        x = self.normalize(x)
-        return f"{x.numerator}/{x.denominator}"
-
-    def scalar_from_str(self, s: str) -> Fraction:
-        return Fraction(s)
-
     def __repr__(self) -> str:
         return "QQ"
 
@@ -106,15 +99,6 @@ class PrimeField:
         if not x:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, -1, self.p)
-
-    def scalar_str(self, x: int) -> str:
-        return str(x % self.p)
-
-    def scalar_from_str(self, s: str) -> int:
-        if "/" in s:
-            num, den = s.split("/")
-            return self.normalize(Fraction(int(num), int(den)))
-        return int(s) % self.p
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
@@ -158,10 +142,6 @@ class DenseMatrix:
             if ncols is None:
                 raise ValueError("empty matrix needs an explicit ncols")
             self.ncols = ncols
-
-    @classmethod
-    def zeros(cls, field, nrows: int, ncols: int) -> "DenseMatrix":
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
 
     def _span(self) -> "SpanBasis":
         span = SpanBasis(self.field, self.ncols)

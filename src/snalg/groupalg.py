@@ -34,7 +34,6 @@ depth-first and the product runs over every pair of terms.
 
 from __future__ import annotations
 
-import json
 from array import array
 from fractions import Fraction
 from functools import lru_cache
@@ -48,14 +47,11 @@ from snalg.perm import sign as perm_sign
 
 __all__ = [
     "AlgebraElement",
-    "add",
-    "scale",
     "mul",
     "antipode",
     "sign_twist",
     "dot",
     "board_sum",
-    "group_sum",
     "element_min_poly",
     "MinimalPolynomial",
 ]
@@ -196,15 +192,6 @@ class _Element:
     def zero(cls, n: int, field=QQ):
         return cls._raw(n, field, {})
 
-    @classmethod
-    def from_vector(cls, n: int, vec: Sequence, field=QQ):
-        """The element with coordinates vec, by index (see `to_vector`);
-        vec has one entry per basis element."""
-        dim = cls._dim(n)
-        if len(vec) != dim:
-            raise ValueError(f"vector length {len(vec)} != dimension {dim}")
-        return cls(n, field, enumerate(vec))
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -216,15 +203,6 @@ class _Element:
 
     def support(self) -> list:
         return sorted(self._terms)
-
-    def to_vector(self) -> list:
-        """Coordinates in the basis, by index: ints, except over Q with
-        `_den` > 1, where the nonzero ones are Fractions."""
-        vec = [0] * self._dim(self.n)
-        den = self._den
-        for r, c in self._terms.items():
-            vec[r] = c if den == 1 else Fraction(c, den)
-        return vec
 
     def _check(self, other) -> None:
         """Raise unless other lies in the same algebra as self."""
@@ -336,41 +314,6 @@ class AlgebraElement(_Element):
             s = w.to_string() or "()"
             parts.append(f"{c}*[{s}]" if c != self.field.one else f"[{s}]")
         return " + ".join(parts)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"perm": w.to_string(), "coeff": self.field.scalar_str(c)}
-                for w, c in self.items()
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json_obj(cls, obj: dict, field=QQ) -> "AlgebraElement":
-        n = int(obj["n"])
-        pairs = [
-            (Permutation.from_string(t["perm"]), field.scalar_from_str(t["coeff"]))
-            for t in obj["terms"]
-        ]
-        return cls(n, field, pairs)
-
-    @classmethod
-    def from_json(cls, s: str, field=QQ) -> "AlgebraElement":
-        return cls.from_json_obj(json.loads(s), field)
-
-
-def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a + b
-
-
-def scale(c, a: AlgebraElement) -> AlgebraElement:
-    return a.__rmul__(c)
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -524,11 +467,6 @@ def board_sum(n: int, board: Iterable[tuple[int, int]], field=QQ) -> AlgebraElem
     return _rook_sum(n, tuple(rows), field)
 
 
-def group_sum(n: int, field=QQ) -> AlgebraElement:
-    """The sum of all of S_n."""
-    return _rook_sum(n, ((1 << n) - 1,) * n, field)
-
-
 # -- minimal polynomials ---------------------------------------------------
 
 
@@ -617,14 +555,6 @@ class MinimalPolynomial:
 
     def is_split(self) -> bool:
         return self.factors is not None
-
-    def evaluate(self, a: AlgebraElement) -> AlgebraElement:
-        """Horner evaluation inside the algebra."""
-        out = AlgebraElement.zero(a.n, a.field)
-        one = AlgebraElement.one(a.n, a.field)
-        for c in reversed(self.coeffs):
-            out = mul(out, a) + scale(c, one)
-        return out
 
     def format_factored(self) -> str:
         """Linear factors sorted by root descending, exponents folded,

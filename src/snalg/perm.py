@@ -28,7 +28,6 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "Permutation",
-    "identity",
     "compose",
     "inverse",
     "sign",
@@ -65,16 +64,6 @@ class Permutation:
         p = object.__new__(cls)
         p._img = img
         return p
-
-    @classmethod
-    def from_string(cls, s: str) -> "Permutation":
-        """Parse '2413' (n <= 9) or '2,4,1,3' (any n)."""
-        s = s.strip()
-        if not s:
-            return cls._from_zero(())
-        if "," in s:
-            return cls(int(part) for part in s.split(","))
-        return cls(int(ch) for ch in s)
 
     @classmethod
     def unrank(cls, n: int, r: int) -> "Permutation":
@@ -137,10 +126,6 @@ class Permutation:
 
     def __ge__(self, other: "Permutation") -> bool:
         return self._img >= other._img
-
-
-def identity(n: int) -> Permutation:
-    return Permutation._from_zero(tuple(range(n)))
 
 
 def compose(u: Permutation, v: Permutation) -> Permutation:

@@ -62,10 +62,6 @@ class Report:
     def passed(self) -> bool:
         return all(c.status != FAIL for c in self.checks)
 
-    @property
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if c.status == FAIL]
-
     def to_json_obj(self) -> dict:
         return {
             "report": self.name,

@@ -74,13 +74,6 @@ class Partition:
             raise ValueError("parts must be weakly decreasing")
         self.parts = parts
 
-    @classmethod
-    def from_string(cls, s: str) -> "Partition":
-        s = s.strip()
-        if s == "0" or not s:
-            return cls(())
-        return cls(int(piece) for piece in s.split("+"))
-
     @property
     def n(self) -> int:
         return sum(self.parts)

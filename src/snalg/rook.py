@@ -36,7 +36,6 @@ from snalg.groupalg import (
     _rook_sum,
     element_min_poly,
     mul,
-    scale,
 )
 from snalg.perm import Permutation, _check_n_range, _check_trials
 
@@ -87,10 +86,6 @@ class Subset:
                 raise ValueError(f"{i} outside [{n}]")
             m |= 1 << (i - 1)
         self.mask = m
-
-    @classmethod
-    def full(cls, n: int) -> "Subset":
-        return cls(n, mask=(1 << n) - 1)
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -417,7 +412,7 @@ def triangular_annihilation(
     acc = N
     for k in range(D.size + 1):
         shift = delta_D_alpha(D, alpha, k, field)
-        acc = mul(N - scale(shift, one), acc)
+        acc = mul(N - shift * one, acc)
     return acc
 
 

@@ -26,8 +26,6 @@ from snalg.rook import Subset
 
 __all__ = [
     "SetDecomposition",
-    "is_composition",
-    "strip_empty",
     "act",
     "row_sum",
     "antisymmetrizer",
@@ -82,16 +80,6 @@ class SetDecomposition:
 
     def __repr__(self) -> str:
         return f"SetDecomposition({self.n}, {[list(b.members) for b in self.blocks]!r})"
-
-
-def is_composition(d: SetDecomposition) -> bool:
-    """True iff every block is nonempty."""
-    return all(b.size for b in d.blocks)
-
-
-def strip_empty(d: SetDecomposition) -> SetDecomposition:
-    """Remove empty blocks, preserving block order."""
-    return SetDecomposition(d.n, (b for b in d.blocks if b.size))
 
 
 def act(w: Permutation, d: SetDecomposition) -> SetDecomposition:

@@ -110,7 +110,7 @@ def test_criterion_04_annihilation_and_decomposition():
         for n in range(1, 6):
             for k in range(n + 1):
                 rep = verify_row_main(n, k)
-                assert rep.passed, rep.failures
+                assert rep.passed, rep
 
     _criterion(4, "mutual annihilation and decomposition", 180.0, body)
 
@@ -145,12 +145,12 @@ def test_criterion_06_tensor_annihilators():
         for n, k, expected in ((3, 2, 5), (4, 2, 14), (4, 3, 23), (5, 2, 42)):
             assert expected == len(enumerate_av(n, k + 1))
             rep = annihilator_check_V(n, k)
-            assert rep.passed, rep.failures
+            assert rep.passed, rep
             assert rep.data["image_rank"] == expected
         for n, k in ((3, 1), (4, 1), (4, 2), (5, 2)):
             expected = factorial(n) - len(enumerate_av(n, n - k))
             rep = annihilator_check_N(n, k)
-            assert rep.passed, rep.failures
+            assert rep.passed, rep
             assert rep.data["image_rank"] == expected
 
     _criterion(6, "tensor-module annihilators", 300.0, body)
@@ -194,7 +194,7 @@ def test_criterion_09_mixed_quotient():
                 for k in range(n + 1):
                     for l in range(n + 1):
                         rep = mixed_quotient_check(n, k, l, field)
-                        assert rep.passed, rep.failures
+                        assert rep.passed, rep
 
     _criterion(9, "mixed quotient", 180.0, body)
 

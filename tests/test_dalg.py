@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 import pytest
 
@@ -23,7 +23,6 @@ from snalg.dalg import (
     d_dim,
     d_mul,
     quotient_map_check,
-    radical_basis,
     radical_dim,
     reference_stats,
     reference_unity,
@@ -32,7 +31,7 @@ from snalg.dalg import (
     unity_find,
 )
 from snalg.exactla import GF, QQ, PrimeField, SpanBasis
-from snalg.groupalg import AlgebraElement, add, scale
+from snalg.groupalg import AlgebraElement
 from snalg.groupalg import mul as algebra_mul
 from snalg.perm import enumerate_av
 from snalg.rook import Subset, delta, nabla, omega, product_rule_fuzz
@@ -97,7 +96,7 @@ def test_element_arithmetic_and_vectors():
     y = x - basis(2, [1], [2])
     assert y == 3 * basis(2, [1, 2], [1, 2])
     assert (x - x).is_zero()
-    assert DElement.from_vector(2, x.to_vector()) == x
+    assert DElement(2, QQ, {basis_index(2, B, A): c for B, A, c in x.items()}) == x
     assert str(y) == "3*D({1,2}|{1,2})"
     assert str(DElement.zero(2)) == "0"
 
@@ -124,7 +123,7 @@ def test_out_of_range_index_rejected(cls, dim):
     with pytest.raises(ValueError, match="out of range"):
         cls(3, QQ, enumerate([1] * (dim + 1)))
     x = cls(3, QQ, enumerate([1] * dim))
-    assert len(x) == dim and x.to_vector() == [1] * dim
+    assert len(x) == dim and x._terms == dict.fromkeys(range(dim), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +288,10 @@ def test_associativity_check_catches_corrupted_row(monkeypatch, fresh_rows):
     monkeypatch.setattr(dalg, "_coeff_row", corrupted)
     rep = associativity_check(4, trials=2000, seed=0)
     assert not rep.passed
-    assert rep.failures[0].witness.startswith("indices (")
+    assert rep.checks[0].witness.startswith("indices (")
     # the first failing triple of the seed-0 sample, as the expanded
     # products find it
-    assert rep.failures[0].witness == "indices (33, 65, 62)"
+    assert rep.checks[0].witness == "indices (33, 65, 62)"
 
 
 def test_quotient_map_check_catches_wrong_omega(monkeypatch, fresh_rows):
@@ -307,10 +306,10 @@ def test_quotient_map_check_catches_wrong_omega(monkeypatch, fresh_rows):
     monkeypatch.setattr(dalg, "_coeff_row", corrupted)
     rep = quotient_map_check(3)
     assert not rep.passed
-    assert rep.failures[0].witness.startswith("indices (")
+    assert rep.checks[0].witness.startswith("indices (")
     monkeypatch.setattr(rook, "_coeff_row", corrupted)
     fuzz = product_rule_fuzz(3)
-    assert [c.name for c in fuzz.failures] == ["rule_a", "rule_b", "rule_c"]
+    assert [c.name for c in fuzz.checks if c.status == "fail"] == ["rule_a", "rule_b", "rule_c"]
 
 
 def test_no_per_pair_memo():
@@ -398,7 +397,7 @@ def test_associativity_witness_is_first_expanded_failure(target, monkeypatch, fr
             break
     assert want is not None
     rep = associativity_check(3)
-    assert [c.witness for c in rep.failures] == [want]
+    assert [c.witness for c in rep.checks] == [want]
 
 
 # ---------------------------------------------------------------------------
@@ -485,27 +484,36 @@ def test_unity_candidate_is_checked_against_every_equation(monkeypatch):
 
 
 def test_unity_candidate_is_checked_against_every_generator_equation(monkeypatch):
-    # on the generating set at n = 3 the candidate is determined after 143
-    # of the 182 equations; the last one, its right-hand side flipped,
-    # refutes it, and only the final check reads that equation
+    # the candidate is checked by multiplying, e·g = g = g·e for every
+    # generator g.  On the generating set at n = 3, the equations with
+    # every right-hand side doubled are consistent and determine 2e, not
+    # the unity e; the elimination reads them once, stops at full rank,
+    # and only the products of the candidate with the generators reject it
     gens = dalg._generators(3, QQ)
     real = list(dalg._unity_equations(3, gens))
-    cols, rhs = real[-1]
-    flipped = real[:-1] + [(cols, 1 - rhs)]
-    read = []
+    read, products = [], []
 
-    def equations(n, indices):
+    def doubled(n, indices):
         assert (n, indices) == (3, gens)
         read.append(0)
-        for eq in flipped:
+        for cols, rhs in real:
             read[-1] += 1
-            yield eq
+            yield cols, 2 * rhs
 
-    monkeypatch.setattr(dalg, "_unity_equations", equations)
+    def spy(x, y):
+        products.append((x, y))
+        return d_mul(x, y)
+
+    monkeypatch.setattr(dalg, "_unity_equations", doubled)
+    monkeypatch.setattr(dalg, "d_mul", spy)
+    e = reference_unity(3)
     assert unity_find(3) is None
-    assert read[0] < len(real) == read[1]
+    assert len(read) == 1 and read[0] < len(real)
+    assert products[0][0] == 2 * e
     monkeypatch.setattr(dalg, "_unity_equations", lambda n, indices: iter(real))
-    assert unity_find(3) == reference_unity(3)
+    products.clear()
+    assert unity_find(3) == e
+    assert len(products) == 2 * len(gens)
 
 
 def test_no_unity_over_f2_at_n2():
@@ -560,7 +568,7 @@ def test_certificate_refuses_and_falls_back(n, p):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_certificate_needs_the_top_symbol(n):
     # a product of symbols of size below n has only symbols of size below n
-    top = basis_index(n, Subset.full(n), Subset.full(n))
+    top = basis_index(n, Subset(n).complement(), Subset(n).complement())
     gens = tuple(i for i in block_generators(n) if i != top)
     assert len(gens) == 2 ** (n + 1) - (n + 2)
     assert not dalg._words_span(n, QQ, gens)
@@ -628,32 +636,13 @@ def test_radical_dims_small():
 
 
 def test_radical_dim_matches_nullspace_basis():
-    # the basis read off SpanBasis.kernel against the Gauss–Jordan nullspace
-    # of the Gram matrix, vector for vector
+    # the nullity of the Gram matrix by an independent Gauss–Jordan
+    # nullspace, whose vectors all vanish on the adjoined unity
     for n in (2, 3, 4):
         gram = _unitalized_gram(n)
         want = gj.nullspace(QQ, gram, len(gram))
         assert all(v[0] == 0 for v in want)
-        got = radical_basis(n)
-        assert [x.to_vector() for x in got] == [v[1:] for v in want]
-        assert len(got) == radical_dim(n)
-
-
-def test_radical_basis_n5():
-    # 84 is the paper's radical dimension at n = 5; each vector, with a zero
-    # unitalization coordinate, is killed by the Gram matrix
-    got = radical_basis(5)
-    assert len(got) == 84
-    gram = _unitalized_gram(5)
-    for x in got:
-        terms = [(i + 1, c) for i, c in enumerate(x.to_vector()) if c]
-        den = lcm(*(c.denominator for _, c in terms))
-        terms = [(i, c.numerator * (den // c.denominator)) for i, c in terms]
-        assert all(sum(row[i] * c for i, c in terms) == 0 for row in gram)
-    span = SpanBasis(QQ, d_dim(5))
-    for x in got:
-        span.insert(x.to_vector())
-    assert span.rank() == 84
+        assert radical_dim(n) == len(want)
 
 
 def test_radical_rejects_prime_fields():
@@ -661,42 +650,42 @@ def test_radical_rejects_prime_fields():
         radical_dim(2, GF(2))
 
 
-def test_radical_n2_explicit_description():
-    # The radical is spanned by v12 - v21, v11 - v22 and 2u - (v11+v12+v21+v22):
-    # the first two square to the third (up to sign) and the third squares to
-    # zero.
+def radical_n2():
+    """v12 - v21, v11 - v22 and 2u - (v11+v12+v21+v22) at n = 2, and the
+    span of the three."""
     u = basis(2, [], [])
     v = {(i, j): basis(2, [i], [j]) for i in (1, 2) for j in (1, 2)}
     x2 = v[(1, 2)] - v[(2, 1)]
     x3 = v[(1, 1)] - v[(2, 2)]
     z = 2 * u - v[(1, 1)] - v[(1, 2)] - v[(2, 1)] - v[(2, 2)]
+    span = SpanBasis(QQ, d_dim(2))
+    for x in (x2, x3, z):
+        span.insert(x._terms)
+    return [x2, x3, z], span
+
+
+def test_radical_n2_explicit_description():
+    # The radical is spanned by v12 - v21, v11 - v22 and 2u - (v11+v12+v21+v22):
+    # the first two square to the third (up to sign) and the third squares to
+    # zero.  They are independent, and as many as the radical's dimension.
+    (x2, x3, z), span = radical_n2()
     assert d_mul(x2, x2) == z
     assert d_mul(x3, x3) == -1 * z
     assert d_mul(z, z).is_zero()
-
-    computed = radical_basis(2)
-    assert len(computed) == 3
-    span = SpanBasis(QQ, d_dim(2))
-    for x in computed:
-        span.insert(x.to_vector())
-    assert span.rank() == 3
-    for x in (x2, x3, z):
-        assert span.contains(x.to_vector())
+    assert span.rank() == radical_dim(2) == 3
 
 
 def test_radical_n2_is_a_nilpotent_ideal():
-    computed = radical_basis(2)
-    span = SpanBasis(QQ, d_dim(2))
-    for x in computed:
-        span.insert(x.to_vector())
+    # so it lies in the radical, which it fills by the dimension count above
+    computed, span = radical_n2()
     generators = [DElement(2, QQ, {i: QQ.one}) for i in range(d_dim(2))]
     for x in computed:
         for g in generators:
-            assert span.contains(d_mul(x, g).to_vector())
-            assert span.contains(d_mul(g, x).to_vector())
+            assert span.contains(d_mul(x, g)._terms)
+            assert span.contains(d_mul(g, x)._terms)
     squares = [d_mul(x, y) for x in computed for y in computed]
     for p in squares:
-        assert span.contains(p.to_vector())
+        assert span.contains(p._terms)
         for x in computed:
             assert d_mul(p, x).is_zero()
 
@@ -711,10 +700,8 @@ def test_u_minus_offdiagonals_is_not_in_the_radical():
     y = d_mul(x1, x1)
     assert y == v[(1, 1)] + v[(2, 2)] - v[(1, 2)] - v[(2, 1)]
     assert d_mul(y, y) == 4 * y
-    span = SpanBasis(QQ, d_dim(2))
-    for x in radical_basis(2):
-        span.insert(x.to_vector())
-    assert not span.contains(x1.to_vector())
+    _, span = radical_n2()
+    assert not span.contains(x1._terms)
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +737,7 @@ def test_to_group_algebra_matches_reference_sums(field):
             x = DElement(n, field, coeffs)
             want = AlgebraElement.zero(n, field)
             for b, a, c in x.items():
-                want = add(want, scale(c, nabla(b, a, field)))
+                want = want + c * nabla(b, a, field)
             assert to_group_algebra(x) == want, (n, coeffs)
         assert to_group_algebra(DElement(n, field, cancel)).is_zero()
 
@@ -792,7 +779,7 @@ def test_quotient_map_image_rank_is_catalan():
     for n in (2, 3, 4):
         span = SpanBasis(QQ, factorial(n))
         for b, a in basis_pairs(n):
-            span.insert(nabla(b, a).to_vector())
+            span.insert(nabla(b, a)._terms)
         assert span.rank() == len(enumerate_av(n, 3))
 
 

@@ -15,7 +15,6 @@ from snalg.perm import (
     enumerate_av,
     enumerate_av_prime,
     erdos_szekeres_decomposition,
-    identity,
     inverse,
     lds_length,
     lis_ending_lengths,
@@ -68,20 +67,20 @@ def test_string_roundtrip_small():
     for w in all_permutations(5):
         s = w.to_string()
         assert "," not in s
-        assert Permutation.from_string(s) == w
+        assert Permutation(int(ch) for ch in s) == w
 
 
 def test_string_roundtrip_large():
     w = Permutation([10, 2, 3, 4, 5, 6, 7, 8, 9, 1])
     s = w.to_string()
     assert s == "10,2,3,4,5,6,7,8,9,1"
-    assert Permutation.from_string(s) == w
+    assert Permutation(int(part) for part in s.split(",")) == w
 
 
 def test_string_empty():
     e = Permutation([])
     assert e.to_string() == ""
-    assert Permutation.from_string("") == e
+    assert e.n == 0
 
 
 def test_compose_convention():
@@ -94,15 +93,16 @@ def test_compose_convention():
 
 def test_compose_size_mismatch():
     with pytest.raises(ValueError):
-        compose(identity(3), identity(4))
+        compose(Permutation([1, 2, 3]), Permutation([1, 2, 3, 4]))
 
 
 def test_group_laws():
+    e = Permutation([1, 2, 3, 4])
     for u in all_permutations(4):
-        assert compose(u, identity(4)) == u
-        assert compose(identity(4), u) == u
-        assert compose(u, inverse(u)) == identity(4)
-        assert compose(inverse(u), u) == identity(4)
+        assert compose(u, e) == u
+        assert compose(e, u) == u
+        assert compose(u, inverse(u)) == e
+        assert compose(inverse(u), u) == e
     ws = list(all_permutations(3))
     for u in ws:
         for v in ws:
@@ -143,7 +143,7 @@ def reversal(n):
 
 def test_w0_reverses():
     assert reversal(4).oln == (4, 3, 2, 1)
-    assert compose(reversal(4), reversal(4)) == identity(4)
+    assert compose(reversal(4), reversal(4)) == Permutation([1, 2, 3, 4])
 
 
 def test_monotone_lengths_against_brute_force():
@@ -161,7 +161,7 @@ def test_avoidance_definitions():
         assert avoids_incr(w, 3) == (brute_lis(w.oln, True) < 3)
         assert avoids_decr(w, 3) == (brute_lis(w.oln, False) < 3)
     with pytest.raises(ValueError):
-        avoids_incr(identity(3), 0)
+        avoids_incr(Permutation([1, 2, 3]), 0)
 
 
 def test_avoidance_counts():

@@ -35,7 +35,7 @@ from snalg.reps import (
     two_sided_count_check,
     young_symmetrizers,
 )
-from snalg.rook import Subset
+from snalg.rook import Subset, nabla
 from snalg.setdecomp import antisymmetrizer
 
 import gauss_jordan as gj
@@ -52,9 +52,7 @@ class TestPartition:
     def test_serialization(self):
         lam = Partition([4, 2, 1])
         assert str(lam) == "4+2+1"
-        assert Partition.from_string("4+2+1") == lam
         assert str(Partition([])) == "0"
-        assert Partition.from_string("0") == Partition([])
 
     def test_shape_data(self):
         lam = Partition([3, 2])
@@ -408,10 +406,8 @@ class TestAnnihilatorChecks:
 
 class TestSpecht:
     def test_young_symmetrizers_trivial_and_sign(self):
-        from snalg.groupalg import group_sum
-
         a, b = young_symmetrizers(Partition([3]))
-        assert a == group_sum(3) and b == AlgebraElement.one(3)
+        assert a == nabla(Subset(3), Subset(3)) and b == AlgebraElement.one(3)
         a, b = young_symmetrizers(Partition([1, 1, 1]))
         assert a == AlgebraElement.one(3)
         assert b == antisymmetrizer(Subset(3, [1, 2, 3]))
