@@ -15,7 +15,6 @@ import snalg.rook as rook
 from snalg.dalg import (
     DElement,
     _left_traces,
-    _unitalized_gram,
     associativity_check,
     basis_index,
     basis_pairs,
@@ -34,9 +33,11 @@ from snalg.exactla import GF, QQ, PrimeField, SpanBasis
 from snalg.groupalg import AlgebraElement
 from snalg.groupalg import mul as algebra_mul
 from snalg.perm import enumerate_av
+from snalg.reps import Partition, f_lambda
 from snalg.rook import Subset, delta, nabla, omega, product_rule_fuzz
 
 import gauss_jordan as gj
+from trace_form import unitalized_gram
 
 
 def S(n, *members):
@@ -251,19 +252,45 @@ def test_traces_closed_form():
         assert all(type(t) is int for t in _left_traces(n))
 
 
+@lru_cache(maxsize=None)
+def reference_trace_form(n):
+    """G_A[i][j] = tr(L_{ΔᵢΔⱼ}), from the reference products and traces."""
+    tau = reference_traces(n)
+    return tuple(
+        tuple(
+            sum(c * tau[t] for t, c in reference_product(n, i, j).items())
+            for j in range(d_dim(n))
+        )
+        for i in range(d_dim(n))
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gram_matches_brute_force(n):
+    # the block-form reference in tests/trace_form.py: G_A bordered by the
+    # adjoined unity, whose trace is dim + 1 and whose products are the τ
     dim = d_dim(n)
     tau = reference_traces(n)
     want = [[dim + 1] + tau]
-    for i in range(dim):
-        row = [tau[i]]
-        for j in range(dim):
-            row.append(sum(c * tau[t] for t, c in reference_product(n, i, j).items()))
-        want.append(row)
-    got = _unitalized_gram(n)
+    want += [[tau[i]] + list(row) for i, row in enumerate(reference_trace_form(n))]
+    got = unitalized_gram(n)
     assert got == want
     assert all(type(c) is int for row in got for c in row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trace_form_depends_only_on_sizes(n):
+    # step 2 of radical_dim: G_A(Δ_{D,C}, Δ_{B,A}) = Φ_{c,b}(|B∩C|, |D∩A|)
+    phi = dalg._trace_form_classes(n)
+    gram = reference_trace_form(n)
+    seen = set()
+    for i, (D, C) in enumerate(symbols(n)):
+        for j, (B, A) in enumerate(symbols(n)):
+            cb = C.size, B.size
+            m = (B.mask & C.mask).bit_count(), (D.mask & A.mask).bit_count()
+            assert gram[i][j] == phi[cb][m], (i, j)
+            seen.add((cb, m))
+    assert seen == {(cb, m) for cb, row in phi.items() for m in row}
 
 
 @pytest.fixture
@@ -630,19 +657,90 @@ def test_center_dim_n4_over_prime_fields(p, want):
 
 
 def test_radical_dims_small():
-    assert radical_dim(2) == 3
-    assert radical_dim(3) == 5
-    assert radical_dim(4) == 39
+    assert [radical_dim(n, cap=6) for n in range(1, 7)] == [0, 3, 5, 39, 84, 530]
 
 
 def test_radical_dim_matches_nullspace_basis():
-    # the nullity of the Gram matrix by an independent Gauss–Jordan
-    # nullspace, whose vectors all vanish on the adjoined unity
-    for n in (2, 3, 4):
-        gram = _unitalized_gram(n)
+    # step 1 of radical_dim: the nullity of G_A, and of the Gram matrix on
+    # the unitalization, by an independent Gauss–Jordan nullspace; the
+    # latter's vectors all vanish on the adjoined unity
+    for n in (1, 2, 3, 4):
+        gram = unitalized_gram(n)
         want = gj.nullspace(QQ, gram, len(gram))
         assert all(v[0] == 0 for v in want)
-        assert radical_dim(n) == len(want)
+        form = reference_trace_form(n)
+        assert radical_dim(n) == len(want) == len(gj.nullspace(QQ, form, len(form)))
+
+
+def subsets_shift(n, v, up):
+    """U (up) or ∂ on {mask: int}: each set goes to the sum of its
+    one-larger supersets, or of its one-smaller subsets."""
+    out = {}
+    for x, c in v.items():
+        for i in range(n):
+            if (x >> i & 1) != up:
+                out[x ^ 1 << i] = out.get(x ^ 1 << i, 0) + c
+    return {x: c for x, c in out.items() if c}
+
+
+def two_row_vector(j):
+    """h_j = (e₁−e₂)(e₃−e₄)⋯(e_{2j−1}−e_{2j}) as {mask of a j-set: ±1}."""
+    h = {0: 1}
+    for i in range(j):
+        h = {**{x | 1 << 2 * i: c for x, c in h.items()},
+             **{x | 1 << 2 * i + 1: -c for x, c in h.items()}}
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_theta_is_the_johnson_eigenvalue(n):
+    # steps 3 and 4 of radical_dim on whole integer vectors: for h_j in
+    # ker ∂ and every c, b in [j, n−j] and m in range,
+    # (c−j)!·J^m_{cb}·U^{b−j}h_j = (b−j)!·θ'_j(m;c,b)·U^{c−j}h_j
+    for j in range(n // 2 + 1):
+        ups = [two_row_vector(j)]
+        assert not subsets_shift(n, ups[0], up=False)
+        while len(ups) <= n - 2 * j:
+            ups.append(subsets_shift(n, ups[-1], up=True))
+        for c in range(j, n - j + 1):
+            assert ups[c - j]
+            rows = [x for x in range(1 << n) if x.bit_count() == c]
+            for b in range(j, n - j + 1):
+                for m in range(max(0, b + c - n), min(b, c) + 1):
+                    got = {}
+                    for x in rows:
+                        y = sum(v for z, v in ups[b - j].items() if (x & z).bit_count() == m)
+                        if y:
+                            got[x] = factorial(c - j) * y
+                    theta = dalg._theta(n, j, m, c, b)
+                    want = {x: factorial(b - j) * theta * v for x, v in ups[c - j].items()}
+                    assert got == (want if theta else {}), (j, c, b, m)
+
+
+def test_two_row_blocks_count_every_symbol():
+    # step 3 splits the C(2n,n) symbols into f_{j₁}·f_{j₂} copies of each
+    # M_{j₁j₂}, of side n+1−2·max(j₁,j₂); f_j = C(n,j) − C(n,j−1) is the
+    # hook-length dimension of S^{(n−j,j)}
+    for n in range(1, 9):
+        f = [f_lambda(Partition([n - j, j] if j else [n])) for j in range(n // 2 + 1)]
+        assert f == [comb(n, j) - (comb(n, j - 1) if j else 0) for j in range(n // 2 + 1)]
+        total = sum(
+            f[j1] * f[j2] * (n + 1 - 2 * max(j1, j2))
+            for j1 in range(len(f))
+            for j2 in range(len(f))
+        )
+        assert total == d_dim(n)
+
+
+def test_radical_dim_reads_the_eigenvalues(monkeypatch):
+    # one θ' value off by one changes a block rank, so the radical moves
+    real = dalg._theta
+
+    def corrupted(n, j, m, c, b):
+        return real(n, j, m, c, b) + ((n, j, m, c, b) == (4, 1, 1, 2, 2))
+
+    monkeypatch.setattr(dalg, "_theta", corrupted)
+    assert radical_dim(4) != 39
 
 
 def test_radical_rejects_prime_fields():
