@@ -43,8 +43,11 @@ factor may vanish: up to n = 5 they generate over F_5 and F_7, but not
 over F_2 from n = 3 on, nor over F_3 from n = 4 on.  So `_generators`
 decides it per (n, field) with a certificate: the span of the
 generators, grown by their products until it is the whole algebra or
-stops growing.  Where the certificate fails, the systems run over every
-symbol.
+stops growing.  Where the certificate fails, the commutator system runs
+over every symbol.  It is eliminated once per generating set
+(`_center_span`): its rank gives the center, and its kernel is the
+center's basis, in which the unity is solved with one unknown per basis
+vector (`unity_find`).
 
 The module provides exact multiplication, associativity verification,
 unity search, center and Jacobson-radical dimensions (radical over the
@@ -365,57 +368,75 @@ def _generators(n: int, field) -> tuple[int, ...]:
     return gens if _words_span(n, field, gens) else tuple(range(len(pairs)))
 
 
-def _unity_equations(n: int, gens):
-    """The equations e·Δᵢ = Δᵢ and Δᵢ·e = Δᵢ, one per i in gens and
-    target t, as ({s: c}, δ_{it}) meaning Σ_s c·e_s = δ_{it}: c is
-    c(s,i,t) for the first and c(i,s,t) for the second.  Targets that share
-    a block share their rows, so each distinct equation of one generator
-    is yielded once (at n = 4, 553 of 1,032 on the generating set)."""
+@lru_cache(maxsize=None)
+def _center_span(n: int, field, gens: tuple[int, ...]) -> SpanBasis:
+    """The span of the integer commutator rows of the generators `gens`:
+    the row for a generator i and target t is c(s,i,t) − c(i,s,t) over s,
+    so that its kernel is {x : x·Δᵢ = Δᵢ·x for every i in gens}.  Keyed on
+    the generator tuple; `center_dim` reads its rank and `unity_find` its
+    kernel, and neither inserts into it."""
+    span = SpanBasis(field, d_dim(n))
     for i in gens:
-        seen = set()
-        for cols in _multiplication_columns(n, i):
-            for t in set(cols) | {i}:
-                row = cols.get(t, {})
-                key = (frozenset(row.items()), t == i)
-                if key not in seen:
-                    seen.add(key)
-                    yield row, int(t == i)
+        right, left = _multiplication_columns(n, i)
+        for t in set(right) | set(left):
+            row = dict(right.get(t, {}))
+            for s, m in left.get(t, {}).items():
+                row[s] = row.get(s, 0) - m
+            span.insert(row)
+    return span
 
 
 def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
-    """The two-sided unity, or None.  Solves the linear system
-    e·g = g = g·e for g in the generating set of `_generators` by
-    incremental elimination.
+    """The two-sided unity, or None.  Solved inside the center Z: with
+    z_1..z_k the basis of Z read off the commutator span of `center_dim`
+    (`SpanBasis.kernel`, each z_j scaled to integers), the unknowns are the
+    c_j of e = Σ c_j·z_j and the equations are Σ c_j·(z_j·g) = g for g in
+    the generating set of `_generators`, k + 1 columns in all.  They are
+    read from the top symbol Δ_{[n],[n]}, the last index, down: for
+    n ≤ 5 over Q, F_2, F_3, F_5 and F_7 its equations alone decide the
+    system.
 
     The set is G, 2^{n+1} − (n+1) symbols, where a certificate shows that
     G generates the algebra over the field, and every symbol otherwise.
-    Either way the solutions are exactly the two-sided unities: e·w = w =
-    w·e follows for every word w in the generators by induction on its
-    length, and the words span.  A unity is unique (e = e·e′ = e′), so the
-    solution set is empty or one point, and a consistent system has full
-    rank: it is inconsistent or it determines e, never underdetermined.
+    Either way the solutions are exactly the two-sided unities:
+    - a unity commutes with everything, so it lies in Z;
+    - for e in Z, e·g = g on the generators gives e·w = w on every word w
+      in them by induction on its length (e·(g·w′) = (e·g)·w′), and
+      w·e = e·w by centrality; the words span the algebra;
+    - a unity is unique (e = e·e′ = e′), so the system is inconsistent or
+      has full rank k, never underdetermined.
 
     The equations have integer coefficients and `SpanBasis` eliminates
     exactly over the given field (over Q fraction-free, each step scaling a
     vector by a nonzero integer), so a pivot in the right-hand-side column
-    proves the system inconsistent.  Elimination stops once the
-    coefficients are determined; the candidate e is then checked by
-    multiplying, e·g = g = g·e for every g in the set, exactly with
-    `d_mul`, so a returned element is a two-sided unity."""
+    proves the system inconsistent.  Elimination stops once the c_j are
+    determined; the candidate e is then checked by multiplying, e·g = g =
+    g·e for every g in the set, exactly with `d_mul`, so a returned element
+    is a two-sided unity."""
     _check_n_range(n, cap)
     gens = _generators(n, field)
-    dim = d_dim(n)
-    aug = SpanBasis(field, dim + 1)
-    for cols, rhs in _unity_equations(n, gens):
-        aug.insert({**cols, dim: rhs})
-        if dim in aug.pivots:
+    center = []
+    for z in _center_span(n, field, gens).kernel():
+        nums, _ = _clear_denominators(z)
+        center.append({t: x for t, x in enumerate(nums) if x})
+    k = len(center)
+    products = (([_mul_coeffs(n, z, {g: 1}) for z in center], g) for g in reversed(gens))
+    equations = (
+        {**{j: zg[t] for j, zg in enumerate(images) if t in zg}, k: int(t == g)}
+        for images, g in products
+        for t in sorted({g}.union(*images))
+    )
+    aug = SpanBasis(field, k + 1)
+    for row in equations:
+        aug.insert(row)
+        if k in aug.pivots:
             return None
-        if aug.rank() == dim:
+        if aug.rank() == k:
             break
     else:
         raise ArithmeticError("unity system is underdetermined")
-    nums, den = _clear_denominators([row[dim] for row in aug.rows])
-    e = DElement._canonical(n, field, zip(aug.pivots, nums), den)
+    coeffs = (row[k] for row in aug.rows)
+    e = sum((c * DElement(n, field, z) for c, z in zip(coeffs, center)), DElement.zero(n, field))
     for i in gens:
         g = DElement._raw(n, field, {i: 1})
         if not d_mul(e, g) == g == d_mul(g, e):
@@ -424,9 +445,8 @@ def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
 
 
 def center_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
-    """Dimension of the center: the nullity of the integer system whose
-    row for a generator i and target t is c(s,i,t) − c(i,s,t) over s, so
-    that its kernel is {x : x·Δᵢ = Δᵢ·x for every generator i}.
+    """Dimension of the center: the nullity of the commutator system of
+    `_center_span`, whose kernel is {x : x·Δᵢ = Δᵢ·x for every generator i}.
 
     The generators are those of `_generators`: the 2^{n+1} − (n+1) symbols
     of G where a certificate shows that G generates the algebra over the
@@ -441,16 +461,7 @@ def center_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
     (both products with Δ_{B,A} are |A|!(n−|A|)!·Δ_{∅,∅}), so the rank stays
     below the dimension."""
     _check_n_range(n, cap)
-    dim = d_dim(n)
-    span = SpanBasis(field, dim)
-    for i in _generators(n, field):
-        right, left = _multiplication_columns(n, i)
-        for t in set(right) | set(left):
-            row = dict(right.get(t, {}))
-            for s, m in left.get(t, {}).items():
-                row[s] = row.get(s, 0) - m
-            span.insert(row)
-    return dim - span.rank()
+    return d_dim(n) - _center_span(n, field, _generators(n, field)).rank()
 
 
 @lru_cache(maxsize=None)

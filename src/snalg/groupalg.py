@@ -56,47 +56,37 @@ __all__ = [
     "MinimalPolynomial",
 ]
 
-_perm_cache: dict[int, list[Permutation]] = {}
-_image_tables: dict[int, tuple[list[bytes], dict[bytes, int]]] = {}
-_inv_tables: dict[int, array] = {}
-_sign_tables: dict[int, array] = {}
-_coset_tables: dict[bytes, tuple[array, list[int], list[int]]] = {}
-
-
+@lru_cache(maxsize=None)
 def permutation_basis(n: int) -> list[Permutation]:
     """All of S_n in lex order; position in this list == lex rank."""
-    if n not in _perm_cache:
-        from snalg.perm import all_permutations
+    from snalg.perm import all_permutations
 
-        _perm_cache[n] = list(all_permutations(n))
-    return _perm_cache[n]
+    return list(all_permutations(n))
 
 
+@lru_cache(maxsize=None)
 def _images(n: int) -> tuple[list[bytes], dict[bytes, int]]:
     """The one-line notation of each permutation, 0-based, as bytes, in
     lex order, and the lex rank of each such image."""
-    if n not in _image_tables:
-        imgs = [bytes(w) for w in permutations(range(n))]
-        _image_tables[n] = imgs, {img: r for r, img in enumerate(imgs)}
-    return _image_tables[n]
+    imgs = [bytes(w) for w in permutations(range(n))]
+    return imgs, {img: r for r, img in enumerate(imgs)}
 
 
+@lru_cache(maxsize=None)
 def _inv_table(n: int) -> array:
     """The lex rank of each inverse, by rank: the image of w^{-1} lists the
     positions in the order of their images under w."""
-    if n not in _inv_tables:
-        imgs, index = _images(n)
-        inverses = (bytes(sorted(range(n), key=img.__getitem__)) for img in imgs)
-        _inv_tables[n] = array("L", (index[img] for img in inverses))
-    return _inv_tables[n]
+    imgs, index = _images(n)
+    inverses = (bytes(sorted(range(n), key=img.__getitem__)) for img in imgs)
+    return array("L", (index[img] for img in inverses))
 
 
+@lru_cache(maxsize=None)
 def _sign_table(n: int) -> array:
-    if n not in _sign_tables:
-        _sign_tables[n] = array("b", (perm_sign(p) for p in permutation_basis(n)))
-    return _sign_tables[n]
+    return array("b", (perm_sign(p) for p in permutation_basis(n)))
 
 
+@lru_cache(maxsize=None)
 def _coset_ids(n: int, blocks: bytes) -> tuple[array, list[int], list[int]]:
     """(ids, images, members) of the left cosets w Y, Y permuting the
     positions within each block (position i in block blocks[i] < 8, as
@@ -108,16 +98,14 @@ def _coset_ids(n: int, blocks: bytes) -> tuple[array, list[int], list[int]]:
     block of preimages at each column; read as an int, the key is the image.
     members is a list so that the rank tuples cut from it share its ints.
     Users: `mul`, one coset at a time, and `_board_ranks`."""
-    if blocks not in _coset_tables:
-        imgs, _ = _images(n)
-        label = bytes(1 << b for b in blocks) + bytes(256 - n)
-        keys = (imgs[r].translate(label) for r in _inv_table(n))
-        index: dict[bytes, int] = {}
-        ids = array("H", (index.setdefault(k, len(index)) for k in keys))
-        members = sorted(range(len(ids)), key=ids.__getitem__)
-        images = [int.from_bytes(key, "little") for key in index]
-        _coset_tables[blocks] = ids, images, members
-    return _coset_tables[blocks]
+    imgs, _ = _images(n)
+    label = bytes(1 << b for b in blocks) + bytes(256 - n)
+    keys = (imgs[r].translate(label) for r in _inv_table(n))
+    index: dict[bytes, int] = {}
+    ids = array("H", (index.setdefault(k, len(index)) for k in keys))
+    members = sorted(range(len(ids)), key=ids.__getitem__)
+    images = [int.from_bytes(key, "little") for key in index]
+    return ids, images, members
 
 
 def _scalar(field, c: int, den: int):
@@ -198,8 +186,10 @@ class _Element:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coeff(self, r: int):
-        return _scalar(self.field, self._terms.get(r, 0), self._den)
+    def coeff(self, key):
+        """The coefficient at `key`, read as the constructor reads it: a
+        basis index, or what `_index` takes for one."""
+        return _scalar(self.field, self._terms.get(self._index(self.n, key), 0), self._den)
 
     def support(self) -> list:
         return sorted(self._terms)
@@ -285,11 +275,6 @@ class AlgebraElement(_Element):
 
     def support(self) -> list[Permutation]:
         return [Permutation.unrank(self.n, r) for r in sorted(self._terms)]
-
-    def coeff(self, w: Permutation) -> object:
-        if w.n != self.n:
-            raise ValueError("permutation size mismatch")
-        return super().coeff(w.rank())
 
     # -- ring structure ----------------------------------------------------
 

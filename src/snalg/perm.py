@@ -22,6 +22,7 @@ usual one-line notation); storage is 0-indexed.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import permutations as _itpermutations
 from math import factorial
 from typing import Iterable, Iterator
@@ -43,8 +44,6 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 8
-
-_monotone_tables: dict[int, tuple[bytes, bytes]] = {}
 
 
 class Permutation:
@@ -225,13 +224,12 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
 
+@lru_cache(maxsize=None)
 def _monotone_lengths(n: int) -> tuple[bytes, bytes]:
     """The longest increasing and the longest decreasing subsequence
     length of every permutation of [n], in lex order; built once per n."""
-    if n not in _monotone_tables:
-        perms = list(all_permutations(n))
-        _monotone_tables[n] = bytes(map(lis_length, perms)), bytes(map(lds_length, perms))
-    return _monotone_tables[n]
+    perms = list(all_permutations(n))
+    return bytes(map(lis_length, perms)), bytes(map(lds_length, perms))
 
 
 def _avoider_ranks(n: int, m: int, decreasing: bool) -> set[int]:

@@ -26,8 +26,7 @@ from snalg.perm import (
     Permutation,
     _avoider_ranks,
     _check_n_range,
-    avoids_decr,
-    avoids_incr,
+    _monotone_lengths,
     enumerate_av,
     enumerate_av_prime,
 )
@@ -185,12 +184,10 @@ def count_identity_check(n: int, k: int) -> bool:
 
 def two_sided_count_check(n: int, k: int, l: int) -> bool:
     """|Av_n(k+1) ∩ Av'_n(l+1)| equals the sum of (f^λ)² over partitions
-    with ℓ(λ) ≤ k and λ₁ ≤ l."""
-    both = sum(
-        1
-        for w in permutation_basis(n)
-        if avoids_incr(w, k + 1) and avoids_decr(w, l + 1)
-    )
+    with ℓ(λ) ≤ k and λ₁ ≤ l; the left side is read off the table of
+    longest increasing and decreasing subsequence lengths."""
+    lis, lds = _monotone_lengths(n)
+    both = sum(1 for a, d in zip(lis, lds) if a <= k and d <= l)
     expected = sum(
         f_lambda(lam) ** 2
         for lam in partitions(n)

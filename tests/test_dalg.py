@@ -38,6 +38,7 @@ from snalg.rook import Subset, delta, nabla, omega, product_rule_fuzz
 
 import gauss_jordan as gj
 from trace_form import unitalized_gram
+from unity_system import two_sided_unity
 
 
 def S(n, *members):
@@ -496,51 +497,79 @@ def test_unity_is_two_sided_identity():
     assert d_mul(e, e) == e
 
 
+def spy_products(monkeypatch):
+    """Record, in order, the generator g of each product z·g that
+    `unity_find` builds its equations from, and a None for each product
+    that `d_mul` makes."""
+    events = []
+    real_mul, real_d_mul = dalg._mul_coeffs, dalg.d_mul
+
+    def mul_coeffs(n, x, y):
+        if None not in events:  # the products inside d_mul come after
+            events.extend(y)  # y = {g: 1}
+        return real_mul(n, x, y)
+
+    def d_mul_spy(x, y):
+        events.append(None)
+        return real_d_mul(x, y)
+
+    monkeypatch.setattr(dalg, "_mul_coeffs", mul_coeffs)
+    monkeypatch.setattr(dalg, "d_mul", d_mul_spy)
+    return events
+
+
 def test_unity_candidate_is_checked_against_every_equation(monkeypatch):
-    # e_0 = 1 and e_1 = 0 determine a candidate before the last equation,
-    # e_0 + e_1 = 0, is reached; only the final check can reject it
-    import snalg.dalg
-
-    def equations(n, gens):
-        yield {0: 1}, 1
-        yield {1: 1}, 0
-        yield {0: 1, 1: 1}, 0
-
-    monkeypatch.setattr(snalg.dalg, "_unity_equations", equations)
-    assert unity_find(1) is None
+    # a wrong candidate found at full rank is rejected by the products.
+    # With the center replaced by span{Δ_{∅,∅}} (central, but without the
+    # unity), the first equation, Δ_{∅,∅}·Δ_{[3],[3]} = 3!·Δ_{∅,∅} read at
+    # the target Δ_{∅,∅}, is 6·c = 0: it fixes the candidate e = 0 at full
+    # rank before the inconsistent one at the target Δ_{[3],[3]}, 0 = 1, is
+    # read, and only multiplying e against a generator rejects it
+    dim = d_dim(3)
+    fake = SpanBasis(QQ, dim)
+    for t in range(1, dim):
+        fake.insert({t: 1})
+    assert fake.kernel() == [[QQ.one] + [QQ.zero] * (dim - 1)]
+    top = dalg._generators(3, QQ)[-1]
+    monkeypatch.setattr(dalg, "_center_span", lambda n, field, gens: fake)
+    events = spy_products(monkeypatch)
+    assert unity_find(3) is None
+    assert events == [top, None]
 
 
 def test_unity_candidate_is_checked_against_every_generator_equation(monkeypatch):
-    # the candidate is checked by multiplying, e·g = g = g·e for every
-    # generator g.  On the generating set at n = 3, the equations with
-    # every right-hand side doubled are consistent and determine 2e, not
-    # the unity e; the elimination reads them once, stops at full rank,
-    # and only the products of the candidate with the generators reject it
+    # the equations of the top symbol alone determine the candidate at n = 3,
+    # so the elimination stops after reading one generator of twelve; the
+    # candidate is still multiplied against every generator, e·g and g·e
     gens = dalg._generators(3, QQ)
-    real = list(dalg._unity_equations(3, gens))
-    read, products = [], []
+    assert len(gens) == 12 and center_dim(3) == 4
+    events = spy_products(monkeypatch)
+    assert unity_find(3) == reference_unity(3)
+    # one product z·g per center basis vector z, all with the top symbol
+    assert events == [gens[-1]] * 4 + [None] * (2 * len(gens))
 
-    def doubled(n, indices):
-        assert (n, indices) == (3, gens)
-        read.append(0)
-        for cols, rhs in real:
-            read[-1] += 1
-            yield cols, 2 * rhs
 
-    def spy(x, y):
-        products.append((x, y))
-        return d_mul(x, y)
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 2), (4, 3)])
+def test_unity_stops_at_a_right_hand_side_pivot(n, p, monkeypatch):
+    # no unity exists here, and the equations of the top symbol already
+    # pivot in the right-hand-side column: no candidate, no products
+    top = dalg._generators(n, GF(p))[-1]
+    events = spy_products(monkeypatch)
+    assert unity_find(n, GF(p)) is None
+    assert None not in events
+    assert set(events) == {top}
 
-    monkeypatch.setattr(dalg, "_unity_equations", doubled)
-    monkeypatch.setattr(dalg, "d_mul", spy)
-    e = reference_unity(3)
-    assert unity_find(3) is None
-    assert len(read) == 1 and read[0] < len(real)
-    assert products[0][0] == 2 * e
-    monkeypatch.setattr(dalg, "_unity_equations", lambda n, indices: iter(real))
-    products.clear()
-    assert unity_find(3) == e
-    assert len(products) == 2 * len(gens)
+
+@pytest.mark.parametrize(
+    "n, field",
+    [(n, f) for n in range(1, 5) for f in (QQ, GF(2), GF(3), GF(5), GF(7))]
+    + [(5, QQ), (5, GF(5))],
+    ids=str,
+)
+def test_unity_matches_two_sided_system(n, field):
+    # the unity solved in the center against the two-sided system in every
+    # symbol, e·g = g = g·e for each generator g
+    assert unity_find(n, field) == two_sided_unity(n, field)
 
 
 def test_no_unity_over_f2_at_n2():

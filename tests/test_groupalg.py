@@ -58,6 +58,17 @@ def test_canonical_form_drops_zeros_and_merges():
     assert len(b) == 1
 
 
+def test_coeff_by_rank_and_by_permutation():
+    # coeff reads its key as the constructor does: a lex rank or a permutation
+    w = Permutation([2, 4, 1, 3])
+    a = AlgebraElement(4, QQ, [(w, Fraction(2, 3)), (7, 5)])
+    assert a.coeff(w.rank()) == a.coeff(w) == Fraction(2, 3)
+    assert a.coeff(7) == a.coeff(Permutation.unrank(4, 7)) == 5
+    assert a.coeff(0) == a.coeff(Permutation([1, 2, 3, 4])) == 0
+    with pytest.raises(ValueError, match=r"permutation of \[3\] in k\[S_4\]"):
+        a.coeff(Permutation([1, 2, 3]))
+
+
 def test_size_and_field_mismatch_errors():
     a = AlgebraElement.one(3, QQ)
     b = AlgebraElement.one(4, QQ)
@@ -552,13 +563,15 @@ def test_items_of_a_large_element_unrank_only_its_terms(monkeypatch):
     # listing one term at n = 9 must not build all 9! permutations
     import snalg.groupalg as groupalg
 
-    monkeypatch.setattr(groupalg, "_perm_cache", {})
+    real = groupalg.permutation_basis
+    built = []
+    monkeypatch.setattr(groupalg, "permutation_basis", lambda n: built.append(n) or real(n))
     w = Permutation([3, 1, 4, 9, 5, 2, 6, 8, 7])
     a = AlgebraElement.from_perm(w, coeff=Fraction(-2, 3))
     assert list(a.items()) == [(w, Fraction(-2, 3))]
     assert a.support() == [w]
     assert repr(a) == "-2/3*[314952687]"
-    assert 9 not in groupalg._perm_cache
+    assert 9 not in built
 
 
 def test_min_poly_identity():

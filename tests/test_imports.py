@@ -99,7 +99,9 @@ ROOT = SRC.parent.parent
 # Public names that nothing outside tests/ reads, each kept for a reason.
 KEEP = {
     "dalg.reference_unity": "the stored unity formulas that the tests compare unity_find against",
-    "groupalg.AlgebraElement.coeff": "the coefficient of a permutation, which the tests read",
+    "groupalg._Element.coeff": "the coefficient of a permutation, which the tests read",
+    "perm.avoids_incr": "the paper's Av_n(m), one permutation at a time; the counts read the length table",
+    "perm.avoids_decr": "the paper's Av'_n(m), one permutation at a time; the counts read the length table",
     "ideals.orthogonal_complement_check": "paper result: span I_k is the orthogonal complement of J_k",
     "ideals.tuple_sum_span_check": "paper result: the tuple sums span the sign-twisted J_k",
     "reps.syt_count": "the independent hook-length reference for f_lambda",
