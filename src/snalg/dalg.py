@@ -35,19 +35,24 @@ side).  These only regroup finite integer sums, so they hold for any row
 table, and every size class of the block (D, E) is nonempty: the rows are
 equal exactly when the expanded products are.
 
-The center and the unity are solved on a generating set, not on every
-symbol.  With R_m = {1..m}, the product rule gives
-Δ_{D,R_m}·Δ_{R_m,A} = m!(n−m)!·Δ_{D,A}, so over Q the 2^{n+1} − (n+1)
-symbols Δ_{D,R_m} and Δ_{R_m,A} generate the algebra.  Over F_p the
-factor may vanish: up to n = 5 they generate over F_5 and F_7, but not
-over F_2 from n = 3 on, nor over F_3 from n = 4 on.  So `_generators`
-decides it per (n, field) with a certificate: the span of the
-generators, grown by their products until it is the whole algebra or
-stops growing.  Where the certificate fails, the commutator system runs
-over every symbol.  It is eliminated once per generating set
-(`_center_span`): its rank gives the center, and its kernel is the
-center's basis, in which the unity is solved with one unknown per basis
-vector (`unity_find`).
+The center and the unity are solved on the invariants of S_n acting
+diagonally, Δ_{B,A} ↦ Δ_{σB,σA}.  Let σ act on the left index,
+σ·Δ_{B,A} = Δ_{σB,A}, and τ on the right one, Δ_{B,A}·τ = Δ_{B,τ⁻¹A}.  The
+product rule depends only on |C|, |B| and |B∩C|, and its terms range over
+U ⊆ D and V ⊆ A, so for any row table (σ·x)·y = σ·(x·y),
+x·(y·τ) = (x·y)·τ and (x·τ)·y = x·(τ·y).  The diagonal action is
+x ↦ σ·x·σ⁻¹, an automorphism.  For x central and any y,
+
+    (σ·x·σ⁻¹)·y = σ·(x·(σ⁻¹·y)) = σ·((σ⁻¹·y)·x) = y·x = x·y,
+
+and with y the unity this reads σ·x·σ⁻¹ = x.  So where a unity exists,
+the center lies in the invariants; the unity itself is invariant, being
+unique and fixed by every automorphism.  An invariant element has one
+unknown per orbit (|B|, |B∩A|) (`_orbits`), and it is central iff it
+commutes with one symbol per orbit (`_invariant_center`); the unity is
+solved in that center (`unity_find`).  Where no unity exists the center
+may be larger, and `center_dim` eliminates the commutator system of
+every symbol (`_center_span`).
 
 The module provides exact multiplication, associativity verification,
 unity search, center and Jacobson-radical dimensions (radical over the
@@ -318,7 +323,7 @@ def associativity_check(n: int, mode: str = None, trials: int = 10000, seed: int
 
 
 def _multiplication_columns(n: int, i: int):
-    """(right, left) for the generator Δᵢ, each as {t: {s: c}} with
+    """(right, left) for the symbol Δᵢ, each as {t: {s: c}} with
     integer c: the coefficient of Δ_t in Δ_s·Δᵢ (right) and in Δᵢ·Δ_s
     (left).  Each product is written into the columns straight from its
     coefficient row and block, the single-term case of `_mul_coeffs`."""
@@ -333,50 +338,14 @@ def _multiplication_columns(n: int, i: int):
     return right, left
 
 
-def _words_span(n: int, field, gens) -> bool:
-    """Whether the words in the symbols `gens` span the Δ-algebra over
-    `field`.  The span starts as span(gens) and takes in x·g for each g in
-    gens and each x that raised its rank, until it is everything (True) or
-    nothing new comes in (False).  Every vector taken in is a combination
-    of words, so True proves that gens generate.  At False the span holds
-    gens and is closed under right multiplication by them, so it holds
-    every word: the words span a proper subalgebra."""
-    dim = d_dim(n)
-    p = field.characteristic
-    span = SpanBasis(field, dim)
-    new = [{g: 1} for g in gens if span.insert({g: 1})]
-    for x in new:
-        if span.rank() == dim:
-            break
-        for g in gens:
-            y = _mul_coeffs(n, x, {g: 1})
-            if p:
-                y = {t: c % p for t, c in y.items() if c % p}
-            if span.insert(y):
-                new.append(y)
-    return span.rank() == dim
-
-
 @lru_cache(maxsize=None)
-def _generators(n: int, field) -> tuple[int, ...]:
-    """The basis indices the center and unity systems run over: those of
-    G = {Δ_{D,R_m}} ∪ {Δ_{R_m,A}}, with R_m = {1..m} and D, A any m-subsets,
-    when `_words_span` certifies that G generates over `field`, and every
-    index otherwise.  |G| = 2^{n+1} − (n+1); the mask of R_m is 2^m − 1."""
-    pairs, _ = _basis_data(n)
-    gens = tuple(i for i, (b, a) in enumerate(pairs) if (1 << b.bit_count()) - 1 in (b, a))
-    return gens if _words_span(n, field, gens) else tuple(range(len(pairs)))
-
-
-@lru_cache(maxsize=None)
-def _center_span(n: int, field, gens: tuple[int, ...]) -> SpanBasis:
-    """The span of the integer commutator rows of the generators `gens`:
-    the row for a generator i and target t is c(s,i,t) − c(i,s,t) over s,
-    so that its kernel is {x : x·Δᵢ = Δᵢ·x for every i in gens}.  Keyed on
-    the generator tuple; `center_dim` reads its rank and `unity_find` its
-    kernel, and neither inserts into it."""
+def _center_span(n: int, field) -> SpanBasis:
+    """The span of the integer commutator rows of every symbol: the row for
+    a symbol i and target t is c(s,i,t) − c(i,s,t) over s, so that its
+    kernel is {x : x·Δᵢ = Δᵢ·x for every i}, the center.  `center_dim`
+    reads its rank where no unity exists."""
     span = SpanBasis(field, d_dim(n))
-    for i in gens:
+    for i in range(d_dim(n)):
         right, left = _multiplication_columns(n, i)
         for t in set(right) | set(left):
             row = dict(right.get(t, {}))
@@ -386,45 +355,77 @@ def _center_span(n: int, field, gens: tuple[int, ...]) -> SpanBasis:
     return span
 
 
-def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
-    """The two-sided unity, or None.  Solved inside the center Z: with
-    z_1..z_k the basis of Z read off the commutator span of `center_dim`
-    (`SpanBasis.kernel`, each z_j scaled to integers), the unknowns are the
-    c_j of e = Σ c_j·z_j and the equations are Σ c_j·(z_j·g) = g for g in
-    the generating set of `_generators`, k + 1 columns in all.  They are
-    read from the top symbol Δ_{[n],[n]}, the last index, down: for
-    n ≤ 5 over Q, F_2, F_3, F_5 and F_7 its equations alone decide the
-    system.
+@lru_cache(maxsize=None)
+def _orbits(n: int) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the diagonal action Δ_{B,A} ↦ Δ_{σB,σA}: the basis
+    indices with one (|B|, |B∩A|) each, in order of their first index, the
+    representative; the last is the top symbol Δ_{[n],[n]} alone."""
+    pairs, _ = _basis_data(n)
+    orbits: dict[tuple[int, int], list[int]] = {}
+    for i, (b, a) in enumerate(pairs):
+        orbits.setdefault((b.bit_count(), (b & a).bit_count()), []).append(i)
+    return tuple(map(tuple, orbits.values()))
 
-    The set is G, 2^{n+1} − (n+1) symbols, where a certificate shows that
-    G generates the algebra over the field, and every symbol otherwise.
-    Either way the solutions are exactly the two-sided unities:
-    - a unity commutes with everything, so it lies in Z;
-    - for e in Z, e·g = g on the generators gives e·w = w on every word w
-      in them by induction on its length (e·(g·w′) = (e·g)·w′), and
-      w·e = e·w by centrality; the words span the algebra;
-    - a unity is unique (e = e·e′ = e′), so the system is inconsistent or
-      has full rank k, never underdetermined.
+
+@lru_cache(maxsize=None)
+def _invariant_center(n: int, field) -> tuple[dict[int, int], ...]:
+    """A basis of the invariant center Z^{S_n}, each vector an integer
+    {index: coeff} dict.  The unknowns are one x_o per orbit o, for
+    x = Σ x_o·S_o with S_o the sum of the orbit's symbols.  Such an x is
+    invariant, so x·Δ_{σr} − Δ_{σr}·x = σ·(x·Δ_r − Δ_r·x)·σ⁻¹, and it is
+    central iff it commutes with the representative Δ_r of every orbit:
+    the rows are the coefficients of S_o·Δ_r − Δ_r·S_o at each target,
+    one column per orbit, eliminated exactly over the field."""
+    orbits = _orbits(n)
+    sums = [dict.fromkeys(o, 1) for o in orbits]
+    span = SpanBasis(field, len(orbits))
+    for o in orbits:
+        r = {o[0]: 1}
+        images = [(_mul_coeffs(n, s, r), _mul_coeffs(n, r, s)) for s in sums]
+        for t in set().union(*(right.keys() | left.keys() for right, left in images)):
+            span.insert([right.get(t, 0) - left.get(t, 0) for right, left in images])
+    center = []
+    for z in span.kernel():
+        nums, _ = _clear_denominators(z)
+        center.append({i: x for o, x in zip(orbits, nums) if x for i in o})
+    return tuple(center)
+
+
+def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
+    """The two-sided unity, or None.  Solved inside the invariant center
+    (`_invariant_center`, basis z_1..z_k): the unknowns are the c_j of
+    e = Σ c_j·z_j and the equations are Σ c_j·(z_j·Δ_r) = Δ_r for the
+    representative Δ_r of each orbit, k + 1 columns in all.  They are read
+    from the top symbol Δ_{[n],[n]}, the last orbit, down: for n ≤ 5 over
+    Q, F_2, F_3, F_5 and F_7 its equations alone decide the system.
+
+    The solutions are exactly the two-sided unities:
+    - a unity is unique (e = e·e′ = e′) and the diagonal action is by
+      automorphisms, so a unity is invariant; it commutes with everything,
+      so it lies in the invariant center;
+    - for e invariant, e·Δ_r = Δ_r gives e·Δ_{σr} = σ·(e·Δ_r)·σ⁻¹ = Δ_{σr}
+      on every symbol, and Δ·e = e·Δ by centrality;
+    - by uniqueness the system is inconsistent or has full rank k, never
+      underdetermined.
+    So no invariant unity means no unity at all.
 
     The equations have integer coefficients and `SpanBasis` eliminates
     exactly over the given field (over Q fraction-free, each step scaling a
     vector by a nonzero integer), so a pivot in the right-hand-side column
     proves the system inconsistent.  Elimination stops once the c_j are
-    determined; the candidate e is then checked by multiplying, e·g = g =
-    g·e for every g in the set, exactly with `d_mul`, so a returned element
-    is a two-sided unity."""
+    determined; the candidate e is then checked by multiplying, e·Δ_r =
+    Δ_r = Δ_r·e for every representative, exactly with `d_mul`.  e is
+    invariant, so that covers every symbol, and a returned element is a
+    two-sided unity."""
     _check_n_range(n, cap)
-    gens = _generators(n, field)
-    center = []
-    for z in _center_span(n, field, gens).kernel():
-        nums, _ = _clear_denominators(z)
-        center.append({t: x for t, x in enumerate(nums) if x})
+    center = _invariant_center(n, field)
     k = len(center)
-    products = (([_mul_coeffs(n, z, {g: 1}) for z in center], g) for g in reversed(gens))
+    reps = [o[0] for o in _orbits(n)]
+    products = (([_mul_coeffs(n, z, {r: 1}) for z in center], r) for r in reversed(reps))
     equations = (
-        {**{j: zg[t] for j, zg in enumerate(images) if t in zg}, k: int(t == g)}
-        for images, g in products
-        for t in sorted({g}.union(*images))
+        {**{j: zr[t] for j, zr in enumerate(images) if t in zr}, k: int(t == r)}
+        for images, r in products
+        for t in sorted({r}.union(*images))
     )
     aug = SpanBasis(field, k + 1)
     for row in equations:
@@ -437,31 +438,28 @@ def unity_find(n: int, field=QQ, cap: int = DALG_CAP):
         raise ArithmeticError("unity system is underdetermined")
     coeffs = (row[k] for row in aug.rows)
     e = sum((c * DElement(n, field, z) for c, z in zip(coeffs, center)), DElement.zero(n, field))
-    for i in gens:
-        g = DElement._raw(n, field, {i: 1})
+    for r in reps:
+        g = DElement._raw(n, field, {r: 1})
         if not d_mul(e, g) == g == d_mul(g, e):
             return None
     return e
 
 
 def center_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
-    """Dimension of the center: the nullity of the commutator system of
-    `_center_span`, whose kernel is {x : x·Δᵢ = Δᵢ·x for every generator i}.
-
-    The generators are those of `_generators`: the 2^{n+1} − (n+1) symbols
-    of G where a certificate shows that G generates the algebra over the
-    field, and every symbol otherwise.  The center of a generated algebra
-    is the centralizer of its generators, since an element that commutes
-    with each generator commutes with every word in them.
-
-    The rows go into one `SpanBasis`, which eliminates exactly over the
-    given field; over Q it is fraction-free and each step scales a vector
-    by a nonzero integer, so the rank is the rank over Q, with no modular
-    step.  No early stop at full rank: Δ_{∅,∅} is central over every field
-    (both products with Δ_{B,A} are |A|!(n−|A|)!·Δ_{∅,∅}), so the rank stays
-    below the dimension."""
+    """Dimension of the center.  Where a unity e exists, the center lies in
+    the invariants of the diagonal action: for x central, (σ·x·σ⁻¹)·y = x·y
+    for every y (module docstring), and y = e gives σ·x·σ⁻¹ = x.  So it is
+    the invariant center of `_invariant_center`, one unknown per orbit.
+    Where none exists (up to n = 5: over F_2 from n = 2, over F_3 from
+    n = 3, and over F_5 at n = 5) it can be larger, and it is the nullity
+    of the commutator system of every symbol, `_center_span`.  Both are
+    eliminated exactly over the given field; over Q `SpanBasis` is
+    fraction-free, each step scaling a vector by a nonzero integer, so the
+    rank is the rank over Q, with no modular step."""
     _check_n_range(n, cap)
-    return d_dim(n) - _center_span(n, field, _generators(n, field)).rank()
+    if unity_find(n, field, cap) is None:
+        return d_dim(n) - _center_span(n, field).rank()
+    return len(_invariant_center(n, field))
 
 
 @lru_cache(maxsize=None)
