@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from snalg.dalg import DALG_CAP, stats as dalg_stats
 from snalg.exactla import GF, QQ
@@ -199,7 +200,9 @@ def cmd_cross_char(args) -> tuple[str, int]:
     return _render_table(header, rows, args.format), 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="snalg",
         description="Exact checks for rook sums, row sums, their ideals, "

@@ -457,7 +457,12 @@ def center_dim(n: int, field=QQ, cap: int = DALG_CAP) -> int:
     fraction-free, each step scaling a vector by a nonzero integer, so the
     rank is the rank over Q, with no modular step."""
     _check_n_range(n, cap)
-    if unity_find(n, field, cap) is None:
+    return _center_dim(n, field, unity_find(n, field, cap))
+
+
+def _center_dim(n: int, field, unity) -> int:
+    """`center_dim`, given the unity or None from `unity_find`."""
+    if unity is None:
         return d_dim(n) - _center_span(n, field).rank()
     return len(_invariant_center(n, field))
 
@@ -644,7 +649,7 @@ def stats(n: int, field=QQ, cap: int = DALG_CAP) -> dict:
     row = {
         "n": n,
         "dim": d_dim(n),
-        "center_dim": center_dim(n, field, cap),
+        "center_dim": _center_dim(n, field, unity),
         "radical_dim": radical_dim(n, field, cap) if field.characteristic == 0 else None,
         "unity": str(unity) if unity is not None else None,
     }

@@ -72,6 +72,15 @@ def _images(n: int) -> tuple[list[bytes], dict[bytes, int]]:
     return imgs, {img: r for r, img in enumerate(imgs)}
 
 
+def _rank(w: Permutation) -> int:
+    """The lex rank of w, read off the table of `_images` (the one `mul`
+    reads) up to ENUMERATION_CAP; beyond it by `Permutation.rank`, so one
+    element at n = 9 does not list all 9! permutations."""
+    if w.n > ENUMERATION_CAP:
+        return w.rank()
+    return _images(w.n)[1][bytes(w._img)]
+
+
 @lru_cache(maxsize=None)
 def _inv_table(n: int) -> array:
     """The lex rank of each inverse, by rank: the image of w^{-1} lists the
@@ -256,7 +265,7 @@ class AlgebraElement(_Element):
             return int(key)
         if key.n != n:
             raise ValueError(f"permutation of [{key.n}] in k[S_{n}]")
-        return key.rank()
+        return _rank(key)
 
     @classmethod
     def one(cls, n: int, field=QQ) -> "AlgebraElement":
@@ -265,7 +274,7 @@ class AlgebraElement(_Element):
     @classmethod
     def from_perm(cls, w: Permutation, field=QQ, coeff=None) -> "AlgebraElement":
         if coeff is None:
-            return cls._raw(w.n, field, {w.rank(): 1})
+            return cls._raw(w.n, field, {_rank(w): 1})
         return cls(w.n, field, [(w, coeff)])
 
     def items(self) -> Iterator[tuple[Permutation, object]]:

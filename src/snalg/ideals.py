@@ -214,12 +214,27 @@ def _pair_witness(ibasis: IdealBasis, jbasis: IdealBasis, fails):
     return None
 
 
-def _closure_witness(basis: IdealBasis, span: SpanBasis, name: str):
+def _closure_witness(basis: IdealBasis, span: SpanBasis, name: str, antipode_stable=False):
     """The first of s·e and e·s outside `span`, over the elements e of
     `basis` and the Coxeter generators s = s_1..s_{n-1}, as text; None if
     there is none.  The s generate S_n, so None makes `span` a two-sided
-    ideal when it is the span of `basis`."""
+    ideal when it is the span of `basis`.
+
+    When `span`, the span of `basis`, is known to be stable under the
+    antipode S, None is decided from s·e ∈ `span` for s = s_1 and the
+    n-cycle c = (1 2 … n), two left products per element: s_1 and c
+    generate S_n, so `span` is a left ideal, and for x in `span` and g in
+    S_n, x·g = S(g⁻¹·S(x)) lies in `span` too.  Only when that fails is
+    every Coxeter generator tried on both sides, for the witness."""
     n, field = basis.n, basis.field
+    if antipode_stable:
+        # s_1 and c; at n = 2 they coincide, at n = 1 there are none
+        gens = [
+            AlgebraElement.from_perm(Permutation(g), field)
+            for g in ([2, 1, *range(3, n + 1)], [*range(2, n + 1), 1])[: min(n - 1, 2)]
+        ]
+        if all(span.contains(mul(g, e)._terms) for e in basis.elements for g in gens):
+            return None
     gens = [
         AlgebraElement.from_perm(Permutation([*range(1, i), i + 1, i, *range(i + 2, n + 1)]), field)
         for i in range(1, n)
@@ -233,9 +248,12 @@ def _closure_witness(basis: IdealBasis, span: SpanBasis, name: str):
     return None
 
 
-def _generator_witness(jbasis: IdealBasis, jspan: SpanBasis, aX: AlgebraElement):
+def _generator_witness(
+    jbasis: IdealBasis, jspan: SpanBasis, aX: AlgebraElement, antipode_stable=False
+):
     """Check (viii) of `verify_row_main`: the first part of its argument
-    that does not close, as text; None if all three close."""
+    that does not close, as text; None if all three close.  The closure
+    part is `_closure_witness`, with `antipode_stable` passed on."""
     n, k, field = jbasis.n, jbasis.k, jbasis.field
     if not jspan.contains(aX._terms):
         return "a_X not in span(J)"
@@ -247,7 +265,7 @@ def _generator_witness(jbasis: IdealBasis, jspan: SpanBasis, aX: AlgebraElement)
             if e == mul(mul(left, aX), AlgebraElement.from_perm(inverse(sigma), field)):
                 continue
         return f"J[{v.oln}] is not (vσ)·a_X·σ⁻¹"
-    return _closure_witness(jbasis, jspan, "J")
+    return _closure_witness(jbasis, jspan, "J", antipode_stable)
 
 
 def _completion_rank(basis: IdealBasis, span: SpanBasis, added) -> int:
@@ -292,16 +310,27 @@ def verify_row_main(
     generation of J_k by a single antisymmetrizer.
 
     When these arguments close, no span is reduced beyond span(I), span(J).
+    Antipode stability (vii) is decided first: the antipode S is an
+    anti-automorphism (S(xy) = S(y)·S(x), S² = 1), so where (vii) holds, a
+    span closed under S_n on the left is closed on the right too,
+    x·g = S(g⁻¹·S(x)), and closure under S_n on the left follows from
+    s_1 = (1 2) and the n-cycle c = (1 2 … n), which generate S_n: two
+    left products per basis element (`_closure_witness`).  Where (vii)
+    fails, or a product leaves the span, every Coxeter generator is tried
+    on both sides, which also names the witness.  All of this holds over
+    any field.
+
     With X = {1..k+1}, generation (viii) shows span(J) = 𝒜·a_X·𝒜: a_X lies
-    in span(J), and span(J) is closed under the Coxeter generators on both
-    sides (`_closure_witness`), so 𝒜·a_X·𝒜 ⊆ span(J); each J-basis element,
-    led by v with U = `increasing_witness(v, k)`, is (v∘σ)·a_X·σ⁻¹ = v·a_U,
-    where σ lists U and then the rest in ascending order, so σ(X) = U.
+    in span(J), and span(J) is a two-sided ideal (`_closure_witness`), so
+    𝒜·a_X·𝒜 ⊆ span(J); each J-basis element, led by v with
+    U = `increasing_witness(v, k)`, is (v∘σ)·a_X·σ⁻¹ = v·a_U, where σ lists
+    U and then the rest in ascending order, so σ(X) = U.
 
     Mutual annihilation (ii) is certified from generators:
-      (a) span(I) is closed under the Coxeter generators, so it is a
-          two-sided ideal;
-      (b) e·a_X = a_X·e = 0 for every I-basis element e;
+      (a) span(I) is a two-sided ideal (`_closure_witness`);
+      (b) e·a_X = a_X·e = 0 for every I-basis element e; where (vii) holds
+          and S(a_X) = a_X, only e·a_X = 0 is multiplied out, since then
+          a_X·e = S(S(e)·a_X) and S(e) lies in span(I);
       (c) check (viii) passes, so span(J) = 𝒜·a_X·𝒜.
     Then I·J ⊆ (I·𝒜)·a_X·𝒜 ⊆ I·a_X·𝒜 = 0, and J·I ⊆ 𝒜·a_X·(𝒜·I) ⊆
     𝒜·a_X·I = 0.  When J_k = 0 there is nothing to check; when the
@@ -348,11 +377,15 @@ def verify_row_main(
     ) and all(jspan.contains(antipode(e)._terms) for e in jbasis.elements)
     if k < n:
         aX = antisymmetrizer(Subset(n, range(1, k + 2)), field)
-        generator_witness = _generator_witness(jbasis, jspan, aX)
+        generator_witness = _generator_witness(jbasis, jspan, aX, antipode_ok)
     certified = k >= n or (
         generator_witness is None
-        and _closure_witness(ibasis, ispan, "I") is None
-        and all(mul(e, aX).is_zero() and mul(aX, e).is_zero() for e in ibasis.elements)
+        and _closure_witness(ibasis, ispan, "I", antipode_ok) is None
+        and all(mul(e, aX).is_zero() for e in ibasis.elements)
+        and (
+            antipode_ok and antipode(aX) == aX
+            or all(mul(aX, e).is_zero() for e in ibasis.elements)
+        )
     )
 
     # (ii) products vanish in both orders: certified, or every pair.

@@ -246,6 +246,35 @@ def test_out_to_a_missing_directory_exits_2(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process: a run of calls with different
+    # subcommands, fields and defaults prints what each call prints with a
+    # parser of its own
+    import snalg.cli as cli
+
+    argvs = [
+        ["ideal-suite", "--n", "3", "--k", "1", "--field", "Fp:7", "--seed", "4"],
+        ["counts", "--n", "4", "--k", "2", "--l", "3"],
+        ["ideal-suite", "--n", "3", "--k", "2", "--format", "json"],
+        ["counts", "--n", "4", "--k", "2"],
+        ["cross-char", "--n", "3", "--format", "json"],
+        ["dalg-stats", "--n", "3", "--field", "Fp:2", "--format", "tsv"],
+    ]
+    alone = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    parser = cli._build_parser()
+    assert [run(capsys, *argv) for argv in argvs] == alone
+    assert cli._build_parser() is parser
+    # a bad --k after good calls still exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["ideal-suite", "--n", "3", "--k", "4"])
+    assert exc.value.code == 2
+    assert "argument --k: must be in 0..3 for --n 3, got 4" in capsys.readouterr().err
+    assert run(capsys, *argvs[0]) == alone[0]
+
+
 def test_stdout_deterministic(capsys):
     _, first = run(capsys, "counts", "--n", "4", "--k", "2", "--format", "json")
     _, second = run(capsys, "counts", "--n", "4", "--k", "2", "--format", "json")

@@ -1016,6 +1016,17 @@ def test_stats_row_n2():
     }
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "Fp2"])
+def test_stats_solves_the_unity_once(monkeypatch, field):
+    # the row's center reads the unity the row already has
+    calls = []
+    real = dalg.unity_find
+    monkeypatch.setattr(dalg, "unity_find", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    row = stats(4, field)
+    assert len(calls) == 1
+    assert row["center_dim"] == center_dim(4, field)
+
+
 def test_stats_row_f2_omits_radical():
     row = stats(2, GF(2))
     assert row["radical_dim"] is None

@@ -69,6 +69,15 @@ def test_coeff_by_rank_and_by_permutation():
         a.coeff(Permutation([1, 2, 3]))
 
 
+def test_from_perm_ranks_by_the_lex_order():
+    # the image table up to n = 8, Permutation.rank beyond
+    for n in (1, 2, 3, 5, 8, 9):
+        perms = [Permutation.unrank(n, r) for r in (0, factorial(n) // 3, factorial(n) - 1)]
+        for w in perms:
+            assert AlgebraElement.from_perm(w)._terms == {w.rank(): 1}
+            assert AlgebraElement(n, QQ, [(w, 3)])._terms == {w.rank(): 3}
+
+
 def test_size_and_field_mismatch_errors():
     a = AlgebraElement.one(3, QQ)
     b = AlgebraElement.one(4, QQ)

@@ -9,7 +9,7 @@ import pytest
 
 import snalg.ideals as ideals
 from snalg.exactla import GF, QQ, SpanBasis, span_intersection_dim
-from snalg.groupalg import AlgebraElement, dot, mul, sign_twist
+from snalg.groupalg import AlgebraElement, antipode, dot, mul, sign_twist
 from snalg.ideals import (
     IdealBasis,
     build_I_basis,
@@ -498,6 +498,161 @@ class TestAnnihilationCertificate:
         # but the row led at 2 then has support below its leader
         basis = IdealBasis(n, 1, QQ, "J", [u[1] + u[2], u[2] + u[1]], leaders)
         assert ideals._completion_rank(basis, basis.span(), [0, 3, 4, 5]) == 5
+
+
+FIELDS = [QQ, GF(2), GF(3), GF(7)]
+FIELD_IDS = ["Q", "Fp2", "Fp3", "Fp7"]
+
+
+def spy_products(monkeypatch):
+    """Record every (a, b) that `ideals` multiplies, in order."""
+    products = []
+    real = ideals.mul
+    monkeypatch.setattr(ideals, "mul", lambda a, b: products.append((a, b)) or real(a, b))
+    return products
+
+
+def antipode_stable(basis, span):
+    """Check (vii) of `verify_row_main` for one basis."""
+    return all(span.contains(antipode(e)._terms) for e in basis)
+
+
+def left_closed_by_two(basis, span):
+    """Reference: s_1·e and c·e in `span` for every element e, with
+    c = (1 2 … n)."""
+    n, field = basis.n, basis.field
+    gens = [Permutation([2, 1, *range(3, n + 1)]), Permutation([*range(2, n + 1), 1])]
+    return all(
+        span.contains(mul(AlgebraElement.from_perm(g, field), e)._terms)
+        for g in gens
+        for e in basis
+    )
+
+
+def mutated_bases(field):
+    """The mutated bases of the tests above, and a left ideal, at
+    (n, k) = (4, 2), by name, with the kind the closure witness names them
+    by."""
+    n, k = 4, 2
+    ib, jb = build_I_basis(n, k, field), build_J_basis(n, k, field)
+    aX = jb.elements[0]
+    s3_perm = Permutation([1, 2, 4, 3])
+    s3 = AlgebraElement.from_perm(s3_perm, field)
+    s1 = AlgebraElement.from_perm(Permutation([2, 1, 3, 4]), field)
+    leaders = list(jb.leaders)
+    leaders[3] = Permutation([4, 3, 2, 1])
+    # 𝒜·(1 + s_1) is closed on the left only
+    cosets = [w for w in all_permutations(n) if w(1) < w(2)]
+    one_s1 = AlgebraElement.one(n, field) + s1
+    left_ideal = [mul(AlgebraElement.from_perm(w, field), one_s1) for w in cosets]
+    return {
+        "left-ideal": (IdealBasis(n, k, field, "I", left_ideal, cosets), "I"),
+        "I": (corrupted(ib, 5, one_s1), "I"),
+        "I-extra": (with_extra_line(field)(n, k, field), "I"),
+        "J": (corrupted(jb, 3), "J"),
+        "aX": (sign_twisted(jb), "J"),
+        "drop-aX": (IdealBasis(n, k, field, "J", jb.elements[1:], jb.leaders[1:]), "J"),
+        "corrupt": (corrupted(jb, 1), "J"),
+        "avoider-leader": (IdealBasis(n, k, field, "J", jb.elements, leaders), "J"),
+        "left": (IdealBasis(n, k, field, "J", [aX], jb.leaders[:1]), "J"),
+        "right": (IdealBasis(n, k, field, "J", [aX, mul(s3, aX)], [jb.leaders[0], s3_perm]), "J"),
+    }
+
+
+class TestOneSidedClosure:
+    """Where the antipode preserves a span, its two-sided closure is
+    decided by left products with s_1 and the n-cycle alone."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_true_bases_take_two_left_products_per_element(self, monkeypatch, field):
+        n, k = 4, 2
+        ib, jb = build_I_basis(n, k, field), build_J_basis(n, k, field)
+        elements = [*ib.elements, *jb.elements]
+        aX = antisymmetrizer(Subset(n, range(1, k + 2)), field)
+        s1, s2, s3, c = (
+            AlgebraElement.from_perm(Permutation(g), field)
+            for g in ([2, 1, 3, 4], [1, 3, 2, 4], [1, 2, 4, 3], [2, 3, 4, 1])
+        )
+        products = spy_products(monkeypatch)
+        assert verify_row_main(n, k, field).passed
+
+        def of_basis(x, family=elements):
+            return any(x is e for e in family)
+
+        assert not [(a, b) for a, b in products if of_basis(a) and b in (s1, s2, s3)]
+        assert not [(a, b) for a, b in products if a == aX and of_basis(b, ib.elements)]
+        left = [(a, b) for a, b in products if len(a) == 1 and of_basis(b)]
+        assert len(left) == 2 * len(elements)
+        for e in elements:
+            assert [a for a, b in left if b is e] == [s1, c]
+
+    @pytest.mark.parametrize("stable", [False, True], ids=["off-J", "negated"])
+    def test_a_X_times_e_is_multiplied_unless_the_antipode_fixes_a_X(self, monkeypatch, stable):
+        # an antipode that moves a_X off span(J) fails (vii), so the closure
+        # is scanned on both sides; one that negates a_X keeps (vii) but
+        # breaks S(a_X) = a_X; either way a_X·e is multiplied out
+        n, k = 4, 2
+        ib, jb = build_I_basis(n, k), build_J_basis(n, k)
+        aX, one = jb.elements[0], AlgebraElement.one(n)
+        real = ideals.antipode
+        moved = (lambda x: -real(x)) if stable else (lambda x: real(x) + one)
+        monkeypatch.setattr(ideals, "antipode", lambda x: moved(x) if x == aX else real(x))
+        products = spy_products(monkeypatch)
+        checks = checks_of(verify_row_main(n, k))
+        assert checks["antipode_stability"].status == ("pass" if stable else "fail")
+        assert checks["mutual_annihilation"].status == "pass"
+        s3 = AlgebraElement.from_perm(Permutation([1, 2, 4, 3]))
+        for e in ib:
+            assert any(a == aX and b is e for a, b in products)
+            assert any(a is e and b == s3 for a, b in products) is not stable
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_verdict_matches_two_sided_scan(self, field):
+        for n in range(1, 5):
+            for k in range(n + 2):
+                ib, jb = build_I_basis(n, k, field), build_J_basis(n, k, field)
+                for basis, name in ((ib, "I"), (jb, "J")):
+                    span = basis.span()
+                    assert antipode_stable(basis, span), (n, k, name)
+                    assert ideals._closure_witness(basis, span, name) is None, (n, k, name)
+                    assert ideals._closure_witness(basis, span, name, True) is None, (n, k, name)
+                    if n > 1:
+                        assert left_closed_by_two(basis, span), (n, k, name)
+        open_stable = []
+        for label, (basis, name) in mutated_bases(field).items():
+            span = basis.span()
+            stable = antipode_stable(basis, span)
+            scan = ideals._closure_witness(basis, span, name)
+            assert ideals._closure_witness(basis, span, name, stable) == scan, label
+            if stable:
+                assert left_closed_by_two(basis, span) == (scan is None), label
+                if scan is not None:
+                    open_stable.append(label)
+            elif label == "left-ideal":
+                # closed on the left, open on the right: the antipode is
+                # what the one-sided certificate needs
+                assert left_closed_by_two(basis, span)
+                assert scan == "I[(1, 2, 3, 4)]·s_2 not in span(I)"
+        # these open spans are fixed by the antipode (the line of 1 + s_1,
+        # the line of a_X, ...), so they reach the fallback scan
+        assert open_stable == ["I", "I-extra", "drop-aX", "corrupt", "left"]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("n, per_element", [(1, 0), (2, 1)])
+    def test_small_groups(self, monkeypatch, field, n, per_element):
+        # S_1 is trivial, so nothing is multiplied; in S_2, s_1 = c
+        products = spy_products(monkeypatch)
+        for k in range(n + 2):
+            assert verify_row_main(n, k, field).passed
+            ib, jb = build_I_basis(n, k, field), build_J_basis(n, k, field)
+            for basis, name in ((ib, "I"), (jb, "J")):
+                products.clear()
+                assert ideals._closure_witness(basis, basis.span(), name, True) is None
+                assert len(products) == per_element * len(basis)
+        # span{1} in k[S_2] is fixed by the antipode but is no ideal
+        one = IdealBasis(2, 1, field, "I", [AlgebraElement.one(2, field)], [Permutation([1, 2])])
+        witness = ideals._closure_witness(one, one.span(), "I", True)
+        assert witness == "s_1·I[(1, 2)] not in span(I)"
 
 
 class TestComplements:
