@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -76,11 +76,45 @@ class RationalField:
         return hash("RationalField")
 
 
+# The first 13 primes; as Miller-Rabin bases they decide primality exactly
+# below _MR_BOUND (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    """Whether p is prime, by Miller-Rabin on `_MR_BASES`: exact for
+    p < `_MR_BOUND`."""
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """The field of integers mod a prime p; scalars are ints in [0, p)."""
+    """The field of integers mod a prime p; scalars are ints in [0, p).
+    Primality is decided exactly, so p must lie below `_MR_BOUND`."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        if p >= _MR_BOUND:
+            raise ValueError(f"{p} is too large: primality is decided only below {_MR_BOUND}")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p

@@ -21,15 +21,19 @@ Multiplication has one rule at every n: the one-line image of uv is v's
 image bytes translated through u's, and one cached index gives its lex
 rank.  A rook sum is unchanged by right multiplication with its Young
 subgroup Y, the permutations that only swap positions of equal board rows,
-so it is a sum of whole left cosets of Y.  For n <= ENUMERATION_CAP = 8 it
-keeps the partition of positions into those classes, and a product
-x * (rook sum) runs one coset at a time: x against one representative per
-coset, then each coset's sum written over the coset through a cached table
-of coset ids.  The work falls from |x| * |rook sum| to
-|x| * |rook sum| / |Y| plus n!.  The same table lists the terms of a board
-for n <= 8, as the cosets whose block images fit in its rows; beyond, where
-tables of n! entries are too large, the enumerator places rooks
-depth-first and the product runs over every pair of terms.
+so it is a sum of whole left cosets of Y; its sign twist, an
+antisymmetrizer among them, is a sum of whole signed cosets, scaled by
+sign(y) under right multiplication by y in Y.  For n <= ENUMERATION_CAP = 8
+both keep the partition of positions into those classes, the twist with a
+sign flag, and a product x * b with either as b can run one coset at a
+time: x against one representative per coset, then each coset's sum,
+signed at each rank for a twist, written over the coset through a cached
+table of coset ids.  That costs |x| * |b| / |Y| pairs plus n! writes
+instead of |x| * |b| pairs, and `mul` takes whichever is less.  The same
+table lists the terms of a board for n <= 8, as the cosets whose block
+images fit in its rows; beyond, where tables of n! entries are too large,
+the enumerator places rooks depth-first and the product runs over every
+pair of terms.
 """
 
 from __future__ import annotations
@@ -93,6 +97,16 @@ def _inv_table(n: int) -> array:
 @lru_cache(maxsize=None)
 def _sign_table(n: int) -> array:
     return array("b", (perm_sign(p) for p in permutation_basis(n)))
+
+
+@lru_cache(maxsize=None)
+def _young_order(blocks: bytes) -> int:
+    """|Y| for the Young subgroup permuting positions within each block:
+    the product of the factorials of the block sizes."""
+    order = 1
+    for b in set(blocks):
+        order *= factorial(blocks.count(b))
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -247,15 +261,18 @@ class AlgebraElement(_Element):
     """A sparse element of k[S_n] in the shared format (`_Element`), indexed
     by the lex rank of each permutation.  A rook sum also keeps in
     `_blocks` the block label of each position under its right Young
-    subgroup (see `_rook_sum`); every other element has `_blocks` None."""
+    subgroup Y (see `_rook_sum`), and its sign twist keeps them too with
+    `_signed` set: x·y = sign(y)·x for y in Y.  Every other element has
+    `_blocks` None and `_signed` False."""
 
-    __slots__ = ("_blocks",)
+    __slots__ = ("_blocks", "_signed")
     _dim = staticmethod(factorial)
 
     @classmethod
     def _raw(cls, n: int, field, terms: dict[int, int], den: int = 1) -> "AlgebraElement":
         a = super()._raw(n, field, terms, den)
         a._blocks = None
+        a._signed = False
         return a
 
     @staticmethod
@@ -320,7 +337,14 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     Since (x Y_sum)(w) = sum of x(u) over u in wY, the product is constant
     on each coset of Y and equal there to the sum of x over that coset:
     each pair adds ca * cb to the sum of the coset of uv, and each coset's
-    sum is then written to all of its ranks."""
+    sum is then written to all of its ranks.  When b is signed (a sign
+    twist of a rook sum), b y = sign(y) b and a b = x a_Y, with a_Y the
+    signed sum of Y, and (x a_Y)(w) = sign(w) sum of sign(u) x(u) over u in
+    wY, since u y = w gives sign(y) = sign(u) sign(w): each pair adds
+    sign(uv) ca * cb, and sign(w) times the coset's sum goes to rank w.
+
+    The coset path costs |a| |b| / |Y| pairs plus n! written ranks, the
+    plain path |a| |b| pairs; the coset path is taken when it costs less."""
     a._check(b)
     n = a.n
     aterms, bterms = a._terms, b._terms
@@ -329,17 +353,27 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     imgs, index = _images(n)
     # byte i of the image of uv is u(v(i)): v's image read through u's
     pad = bytes(256 - n)
-    if b._blocks is not None:
+    work = len(aterms) * len(bterms)
+    if b._blocks is not None and work // _young_order(b._blocks) + len(imgs) < work:
         ids, images, _ = _coset_ids(n, b._blocks)
+        aitems, bitems = aterms.items(), bterms.items()
+        if b._signed:
+            # sign(uv) = sign(u) sign(v), carried by each factor's coefficients
+            signs = _sign_table(n)
+            aitems = [(r, signs[r] * c) for r, c in aitems]
+            bitems = [(r, signs[r] * c) for r, c in bitems]
         reps: dict[int, tuple[bytes, int]] = {}
-        for rv, cb in bterms.items():
+        for rv, cb in bitems:
             reps.setdefault(ids[rv], (imgs[rv], cb))
         sums = [0] * len(images)
-        for ru, ca in aterms.items():
+        for ru, ca in aitems:
             table = imgs[ru] + pad
             for img_v, cb in reps.values():
                 sums[ids[index[img_v.translate(table)]]] += ca * cb
-        pairs = enumerate([sums[c] for c in ids])
+        if b._signed:
+            pairs = enumerate([s * sums[c] for s, c in zip(signs, ids)])
+        else:
+            pairs = enumerate([sums[c] for c in ids])
     else:
         acc: dict[int, int] = {}
         terms = [(imgs[rv], cb) for rv, cb in bterms.items()]
@@ -359,9 +393,16 @@ def antipode(a: AlgebraElement) -> AlgebraElement:
 
 
 def sign_twist(a: AlgebraElement) -> AlgebraElement:
-    """The automorphism sending w to (-1)^w w."""
+    """The automorphism sending w to (-1)^w w.  The twist of an element with
+    a Young subgroup Y keeps Y with the sign flag flipped: y = sign(y)·tw(y)
+    for y in Y, so tw(x)·y = sign(y)·tw(x·y) = sign(y)·tw(x) when x·y = x,
+    and tw(x)·y = tw(x) when x·y = sign(y)·x."""
     signs = _sign_table(a.n)
-    return a._canonical(a.n, a.field, ((r, signs[r] * c) for r, c in a._terms.items()), a._den)
+    t = a._canonical(a.n, a.field, ((r, signs[r] * c) for r, c in a._terms.items()), a._den)
+    if a._blocks is not None:
+        t._blocks = a._blocks
+        t._signed = not a._signed
+    return t
 
 
 def dot(a: AlgebraElement, b: AlgebraElement):

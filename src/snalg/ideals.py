@@ -330,7 +330,10 @@ def verify_row_main(
       (a) span(I) is a two-sided ideal (`_closure_witness`);
       (b) e·a_X = a_X·e = 0 for every I-basis element e; where (vii) holds
           and S(a_X) = a_X, only e·a_X = 0 is multiplied out, since then
-          a_X·e = S(S(e)·a_X) and S(e) lies in span(I);
+          a_X·e = S(S(e)·a_X) and S(e) lies in span(I).  a_X is one
+          signed coset of its Young subgroup S_X, so `mul` forms e·a_X
+          with |e| products and n! written ranks, one coset at a time,
+          where that is less than the |e|·(k+1)! of the plain path;
       (c) check (viii) passes, so span(J) = 𝒜·a_X·𝒜.
     Then I·J ⊆ (I·𝒜)·a_X·𝒜 ⊆ I·a_X·𝒜 = 0, and J·I ⊆ 𝒜·a_X·(𝒜·I) ⊆
     𝒜·a_X·I = 0.  When J_k = 0 there is nothing to check; when the

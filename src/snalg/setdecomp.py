@@ -108,7 +108,9 @@ def row_sum(Bdec: SetDecomposition, Adec: SetDecomposition, field=QQ) -> Algebra
 
 
 def antisymmetrizer(U: Subset, field=QQ) -> AlgebraElement:
-    """The signed sum of all permutations fixing [n] ∖ U pointwise."""
+    """The signed sum of all permutations fixing [n] ∖ U pointwise: the
+    sign twist of a rook sum, so it keeps the Young subgroup S_U as one
+    signed coset (see `groupalg.mul`)."""
     n = U.n
     rows = tuple(U.mask if U.mask >> i & 1 else 1 << i for i in range(n))
     return sign_twist(_rook_sum(n, rows, field))

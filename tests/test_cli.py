@@ -206,6 +206,25 @@ def test_bad_field_spec_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("p, message", [
+    ((2**17 - 1) * (2**61 - 1), "is not prime"),
+    (561, "is not prime"),
+    ((2**31 - 1) * (2**61 - 1), "is too large"),
+    (2**89 - 1, "is too large"),
+])
+def test_field_spec_beyond_exact_primality_exits_2(capsys, p, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["dalg-stats", "--n", "2", "--field", f"Fp:{p}"])
+    assert exc.value.code == 2
+    assert f"error: argument --field: {p} {message}" in capsys.readouterr().err
+
+
+def test_large_prime_field_spec_runs(capsys):
+    p = 2**61 - 1
+    assert main(["dalg-stats", "--n", "2", "--field", f"Fp:{p}", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["unity"] is not None
+
+
 def test_cap_violation_exits_2(capsys):
     # every capped subcommand reports the one n-range message on stderr
     for argv, n, cap in (

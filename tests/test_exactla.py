@@ -1,8 +1,9 @@
 """Tests for exact fields, dense elimination and span maintenance."""
 
 import random
+import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,28 @@ def test_fields_basics():
         GF(1)
     with pytest.raises(ZeroDivisionError):
         f5.inv(0)
+
+
+def test_prime_fields_are_decided_fast_and_exactly():
+    from snalg.exactla import _MR_BOUND, _is_prime
+
+    m61 = 2**61 - 1
+    start = time.perf_counter()
+    assert GF(m61).p == m61
+    # a product of two Mersenne primes, the Carmichael number 561, and
+    # 3215031751, a strong pseudoprime to the bases 2, 3, 5 and 7
+    for composite in ((2**17 - 1) * m61, 561, 3215031751):
+        with pytest.raises(ValueError, match="not prime"):
+            GF(composite)
+    # beyond the bound, prime or not
+    for p in (_MR_BOUND, (2**31 - 1) * m61, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            GF(p)
+    assert time.perf_counter() - start < 1
+    # the bases agree with trial division on every small number
+    assert [p for p in range(-3, 5000) if _is_prime(p)] == [
+        p for p in range(2, 5000) if all(p % d for d in range(2, isqrt(p) + 1))
+    ]
 
 
 def test_scalars_falsy_iff_zero():

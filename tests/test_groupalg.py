@@ -11,6 +11,7 @@ from operator import itemgetter
 
 import pytest
 
+from snalg import groupalg
 from snalg.exactla import GF, QQ
 from snalg.groupalg import (
     AlgebraElement,
@@ -314,19 +315,74 @@ def test_elements_derived_from_rook_sums_take_the_plain_path():
                     (Fraction(1, 2) if field is QQ else 2) * rook,
                     rook + one,
                     antipode(rook),
-                    sign_twist(rook),
                     mul(one, rook),
                 ]
                 for x in derived:
-                    assert x._blocks is None, name
+                    assert x._blocks is None and not x._signed, name
                     # a permutation and a random element on the left
                     for a in _left_factors(rng, n, field)[::2]:
                         assert mul(a, x) == _double_loop_product(a, x), (n, field, name)
+                # the sign twist keeps the blocks, signed
+                twisted = sign_twist(rook)
+                assert twisted._blocks == rook._blocks, name
+                assert twisted._signed == (rook._blocks is not None), name
+                for a in _left_factors(rng, n, field)[::2]:
+                    assert mul(a, twisted) == _double_loop_product(a, twisted), (n, field, name)
             U = _random_subset(rng, n, n - 1)
             signed = antisymmetrizer(U, field)
-            assert signed._blocks is None
+            # one block for U, one for each point outside it
+            assert len({signed._blocks[i - 1] for i in U.members}) == 1
+            assert len(set(signed._blocks)) == 2 and signed._signed
             for a in _left_factors(rng, n, field):
                 assert mul(a, signed) == _double_loop_product(a, signed)
+
+
+def _signed_right_factors(rng, n, field):
+    """An antisymmetrizer for every size |U| = 1..n, and the sign twist of
+    each rook-sum family once and twice."""
+    factors = {
+        f"antisymmetrizer |U| = {size}": antisymmetrizer(_random_subset(rng, n, size), field)
+        for size in range(1, n + 1)
+    }
+    for name, rook in _rook_sums(rng, n, field).items():
+        factors[f"sign_twist({name})"] = sign_twist(rook)
+        factors[f"sign_twist^2({name})"] = sign_twist(sign_twist(rook))
+    return factors
+
+
+def test_signed_coset_mul_matches_double_loop(monkeypatch):
+    rng = random.Random(317)
+    calls = []
+    real = groupalg._coset_ids
+    monkeypatch.setattr(groupalg, "_coset_ids", lambda n, blocks: calls.append(n) or real(n, blocks))
+    branches = Counter()
+    for n in (3, 5, 6):
+        for field in (QQ, GF(2), GF(3), GF(7)):
+            for name, b in _signed_right_factors(rng, n, field).items():
+                twice = name.startswith("sign_twist^2")
+                # an antisymmetrizer of one point is the identity, a board of
+                # distinct rows has no Young subgroup: no blocks, no sign
+                assert b._signed == (b._blocks is not None and not twice), name
+                # a permutation, a rook sum and a random element on the left
+                for a in _left_factors(rng, n, field)[:3]:
+                    del calls[:]
+                    assert mul(a, b) == _double_loop_product(a, b), (n, field, name)
+                    if b._blocks is None:
+                        assert not calls
+                        continue
+                    order = 1
+                    for x in set(b._blocks):
+                        order *= factorial(b._blocks.count(x))
+                    work = len(a) * len(b)
+                    assert bool(calls) == (work // order + factorial(n) < work), (n, name)
+                    branches[b._signed, bool(calls)] += 1
+    # signed and unsigned right factors each run both branches of the rule
+    assert set(branches) == {(s, c) for s in (False, True) for c in (False, True)}, branches
+    # one permutation times a rook sum: |Y| pairs beat the n! write-back
+    rook = nabla(Subset(6, (1, 2, 3)), Subset(6, (4, 5, 6)))
+    s1 = AlgebraElement.from_perm(Permutation([2, 1, 3, 4, 5, 6]))
+    del calls[:]
+    assert mul(s1, rook) == _double_loop_product(s1, rook) and not calls
 
 
 def _set_partitions(n):
