@@ -20,15 +20,15 @@ def main() -> None:
     for n in range(1, 6):
         cells = []
         for k in range(n + 1):
-            ri = build_I_basis(n, k).span().rank()
-            rj = build_J_basis(n, k).span().rank()
+            ri = build_I_basis(n, k).rank()
+            rj = build_J_basis(n, k).rank()
             assert ri + rj == factorial(n)
             assert ri == len(enumerate_av(n, k + 1))
             cells.append(f"{ri}/{rj}")
         print(f"  n={n}:  " + "  ".join(cells))
     print()
 
-    catalan = [build_I_basis(n, 2).span().rank() for n in range(1, 6)]
+    catalan = [build_I_basis(n, 2).rank() for n in range(1, 6)]
     print(f"rank I_2 for n = 1..5 (Catalan numbers): {catalan}")
     print()
 

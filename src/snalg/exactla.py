@@ -7,13 +7,12 @@ zero, which elimination relies on.
 
 `SpanBasis` is the elimination kernel: an incrementally maintained reduced
 echelon basis of a subspace, supporting rank, membership (a vector lies in
-the span iff it reduces to zero), equality, sums and intersection
-dimensions.  A vector enters as a dense sequence or as a sparse
-{column: scalar} dict, such as the integer terms of a group-algebra
-element.  Each row is stored as a sparse {column: int} dict keyed by its
-pivot, and is zero at every other pivot, so a vector is reduced in one
-pass over the rows whose pivots it touches, each multiple read off the
-input (see `SpanBasis`).  Over Q elimination is fraction-free, in the
+the span iff it reduces to zero) and equality.  A vector enters as a dense
+sequence or as a sparse {column: scalar} dict, such as the integer terms
+of a group-algebra element.  Each row is stored as a sparse {column: int}
+dict keyed by its pivot, and is zero at every other pivot, so a vector is
+reduced in one pass over the rows whose pivots it touches, each multiple
+read off the input (see `SpanBasis`).  Over Q elimination is fraction-free, in the
 manner of Bareiss: each step multiplies a vector by a nonzero integer,
 which changes no span, so the answers are exact, not modular.
 `SpanBasis.insert_tagged` takes each vector of a sequence with a unit tag
@@ -39,8 +38,6 @@ __all__ = [
     "PrimeField",
     "DenseMatrix",
     "SpanBasis",
-    "span_sum_rank",
-    "span_intersection_dim",
 ]
 
 
@@ -445,15 +442,3 @@ class SpanBasis:
     def __repr__(self) -> str:
         return f"SpanBasis({self.field!r}, ambient={self.ambient}, rank={self.rank()})"
 
-
-def span_sum_rank(s: SpanBasis, t: SpanBasis) -> int:
-    if s.field != t.field or s.ambient != t.ambient:
-        raise ValueError("spans live in different ambient spaces")
-    u = s.copy()
-    for row in t._rows.values():
-        u.insert(row)
-    return u.rank()
-
-
-def span_intersection_dim(s: SpanBasis, t: SpanBasis) -> int:
-    return s.rank() + t.rank() - span_sum_rank(s, t)

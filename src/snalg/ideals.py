@@ -13,11 +13,12 @@ stability, and spanning of sampled generators.
 
 Each basis is built once per process for each (kind, n, k, field) and kept
 in the private dict `_bases`; the builders stay plain functions that look
-it up.  A basis reduces its span on the first `IdealBasis.span()` call,
-from each element's integer terms (a nonzero multiple of the element, so
-the same line), and hands out copies, so a caller may extend its copy.
-The avoider lists come from `perm`, which keeps one table of monotone
-subsequence lengths per n.
+it up.  A basis decides rank and membership from its triangular leaders
+(`IdealBasis.reduce`), and a sum of spans is ranked from the residues of
+one family modulo the other (`_sum`), so no span of an ideal is reduced;
+`IdealBasis.span()` reduces one from the elements' integer terms and hands
+out copies.  The avoider lists come from `perm`, which keeps one table of
+monotone subsequence lengths per n.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from __future__ import annotations
 import random
 from math import factorial
 
-from snalg.exactla import QQ, SpanBasis, span_intersection_dim, span_sum_rank
+from snalg.exactla import QQ, SpanBasis
 from snalg.groupalg import (
     AlgebraElement,
+    _rank,
     antipode,
     dot,
     mul,
@@ -82,12 +84,22 @@ _bases: dict[tuple, "IdealBasis"] = {}
 class IdealBasis:
     """A triangular basis of I_k, J_k, or a sign-twisted copy.
 
-    elements[i] has coefficient +1 on leaders[i]; for kind "I" (and its
-    twist) the rest of the support is lex-smaller, for kind "J" lex-greater,
-    so the family is linearly independent by inspection.
+    elements[i] has coefficient ±1 (+1 untwisted) on leaders[i], and the
+    rest of its support lies lex-below it for the I kinds, lex-above for
+    the J kinds, so the family is its own echelon form.  `reduce(v)` sweeps
+    the lex ranks of the integer vector v once, downward for the I kinds,
+    upward for the J kinds: at each leader r where v is nonzero, with entry
+    c (read mod p over F_p), it subtracts c·u times the element led at r,
+    u = ±1 its coefficient there.  The residue, the entries left, is empty
+    iff v lies in the span; `contains` stops at the first one.  The rank is
+    the number of elements.  All this needs the family unitriangular
+    (denominator 1, leader coefficient ±1, the leader the max (I kinds) or
+    min (J kinds) of the support, distinct leaders), checked once; a family
+    that is not (only the tests build one) answers from its reduced
+    `SpanBasis`.
     """
 
-    __slots__ = ("n", "k", "field", "kind", "elements", "leaders", "_span")
+    __slots__ = ("n", "k", "field", "kind", "elements", "leaders", "_span", "_rows")
 
     def __init__(self, n, k, field, kind, elements, leaders):
         if kind not in ("I", "J", "sign-twisted-I", "sign-twisted-J"):
@@ -98,7 +110,10 @@ class IdealBasis:
         self.kind = kind
         self.elements = tuple(elements)
         self.leaders = tuple(leaders)
+        if len(self.elements) != len(self.leaders):
+            raise ValueError(f"{len(self.elements)} elements, {len(self.leaders)} leaders")
         self._span = None
+        self._rows = False  # not checked yet
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -106,14 +121,82 @@ class IdealBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def span(self) -> SpanBasis:
-        """The span of the elements, reduced on the first call and handed
-        out as a copy."""
+    def _reduced(self) -> SpanBasis:
         if self._span is None:
             self._span = SpanBasis(self.field, factorial(self.n))
             for e in self.elements:
                 self._span.insert(e._terms)
-        return self._span.copy()
+        return self._span
+
+    def span(self) -> SpanBasis:
+        """The span of the elements, reduced on the first call and handed
+        out as a copy."""
+        return self._reduced().copy()
+
+    def _leading(self):
+        """{leader rank: (u, terms)}, u = ±1 the leader coefficient, if the
+        family is unitriangular; None otherwise."""
+        if self._rows is False:
+            p = self.field.characteristic
+            extreme = max if self.kind.endswith("I") else min
+            rows = {}
+            for v, e in zip(self.leaders, self.elements):
+                r, terms = _rank(v), e._terms
+                u = terms.get(r)
+                if p and u == p - 1:
+                    u = -1
+                if e._den != 1 or u not in (1, -1) or extreme(terms) != r or r in rows:
+                    rows = None
+                    break
+                rows[r] = (u, terms)
+            self._rows = rows
+        return self._rows
+
+    def _sweep(self, v: dict, stop: bool) -> dict:
+        """The residue of v; with `stop`, only its first nonzero non-leader
+        entry, if any."""
+        rows = self._leading()
+        if rows is None:
+            s = self._reduced()
+            return s._reduce(s._entry(v))
+        if not v:
+            return {}
+        p = self.field.characteristic
+        n_fact = factorial(self.n)
+        w = [0] * n_fact
+        for j, x in v.items():
+            w[j] = x
+        residue = {}
+        for r in range(max(v), -1, -1) if self.kind.endswith("I") else range(min(v), n_fact):
+            c = w[r]
+            if not c:
+                continue
+            if p:
+                c %= p
+                if not c:
+                    continue
+            row = rows.get(r)
+            if row is None:
+                if stop:
+                    return {r: c}
+                residue[r] = c
+                continue
+            u, terms = row
+            b = c * u
+            for j, y in terms.items():
+                w[j] -= b * y
+        return residue
+
+    def reduce(self, v: dict) -> dict:
+        """The residue of v modulo the span: zero at every leader (at every
+        pivot of the reduced span, off the unitriangular path)."""
+        return self._sweep(v, False)
+
+    def contains(self, v: dict) -> bool:
+        return not self._sweep(v, True)
+
+    def rank(self) -> int:
+        return len(self.elements) if self._leading() is not None else self._reduced().rank()
 
     def __repr__(self) -> str:
         return (
@@ -214,18 +297,17 @@ def _pair_witness(ibasis: IdealBasis, jbasis: IdealBasis, fails):
     return None
 
 
-def _closure_witness(basis: IdealBasis, span: SpanBasis, name: str, antipode_stable=False):
-    """The first of s·e and e·s outside `span`, over the elements e of
-    `basis` and the Coxeter generators s = s_1..s_{n-1}, as text; None if
-    there is none.  The s generate S_n, so None makes `span` a two-sided
-    ideal when it is the span of `basis`.
+def _closure_witness(basis: IdealBasis, name: str, antipode_stable=False):
+    """The first of s·e and e·s outside span(`basis`), over its elements e
+    and the Coxeter generators s = s_1..s_{n-1}, as text; None if there is
+    none.  The s generate S_n, so None makes the span a two-sided ideal.
 
-    When `span`, the span of `basis`, is known to be stable under the
-    antipode S, None is decided from s·e ∈ `span` for s = s_1 and the
-    n-cycle c = (1 2 … n), two left products per element: s_1 and c
-    generate S_n, so `span` is a left ideal, and for x in `span` and g in
-    S_n, x·g = S(g⁻¹·S(x)) lies in `span` too.  Only when that fails is
-    every Coxeter generator tried on both sides, for the witness."""
+    When the span is known to be stable under the antipode S, None is
+    decided from s·e in the span for s = s_1 and the n-cycle
+    c = (1 2 … n), two left products per element: s_1 and c generate S_n,
+    so the span is a left ideal, and for x in it and g in S_n,
+    x·g = S(g⁻¹·S(x)) lies in it too.  Only when that fails is every
+    Coxeter generator tried on both sides, for the witness."""
     n, field = basis.n, basis.field
     if antipode_stable:
         # s_1 and c; at n = 2 they coincide, at n = 1 there are none
@@ -233,7 +315,7 @@ def _closure_witness(basis: IdealBasis, span: SpanBasis, name: str, antipode_sta
             AlgebraElement.from_perm(Permutation(g), field)
             for g in ([2, 1, *range(3, n + 1)], [*range(2, n + 1), 1])[: min(n - 1, 2)]
         ]
-        if all(span.contains(mul(g, e)._terms) for e in basis.elements for g in gens):
+        if all(basis.contains(mul(g, e)._terms) for e in basis.elements for g in gens):
             return None
     gens = [
         AlgebraElement.from_perm(Permutation([*range(1, i), i + 1, i, *range(i + 2, n + 1)]), field)
@@ -241,21 +323,19 @@ def _closure_witness(basis: IdealBasis, span: SpanBasis, name: str, antipode_sta
     ]
     for v, e in zip(basis.leaders, basis.elements):
         for i, s in enumerate(gens, 1):
-            if not span.contains(mul(s, e)._terms):
+            if not basis.contains(mul(s, e)._terms):
                 return f"s_{i}·{name}[{v.oln}] not in span({name})"
-            if not span.contains(mul(e, s)._terms):
+            if not basis.contains(mul(e, s)._terms):
                 return f"{name}[{v.oln}]·s_{i} not in span({name})"
     return None
 
 
-def _generator_witness(
-    jbasis: IdealBasis, jspan: SpanBasis, aX: AlgebraElement, antipode_stable=False
-):
+def _generator_witness(jbasis: IdealBasis, aX: AlgebraElement, antipode_stable=False):
     """Check (viii) of `verify_row_main`: the first part of its argument
     that does not close, as text; None if all three close.  The closure
     part is `_closure_witness`, with `antipode_stable` passed on."""
     n, k, field = jbasis.n, jbasis.k, jbasis.field
-    if not jspan.contains(aX._terms):
+    if not jbasis.contains(aX._terms):
         return "a_X not in span(J)"
     for v, e in zip(jbasis.leaders, jbasis.elements):
         if lis_length(v) > k:
@@ -265,35 +345,50 @@ def _generator_witness(
             if e == mul(mul(left, aX), AlgebraElement.from_perm(inverse(sigma), field)):
                 continue
         return f"J[{v.oln}] is not (vσ)·a_X·σ⁻¹"
-    return _closure_witness(jbasis, jspan, "J", antipode_stable)
+    return _closure_witness(jbasis, "J", antipode_stable)
 
 
-def _completion_rank(basis: IdealBasis, span: SpanBasis, added) -> int:
-    """The rank of `span`, the span of `basis`, together with the unit
-    vectors at the lex ranks `added`.
+def _span_of(vectors, field, n: int) -> SpanBasis:
+    span = SpanBasis(field, factorial(n))
+    for v in vectors:
+        if v:  # a residue is empty on the span it was taken modulo
+            span.insert(v)
+    return span
 
-    It is n! without elimination when the rows are unitriangular: the
-    leaders are the permutations outside `added`, in lex order, and each
-    element has coefficient +1 (denominator 1) at its leader, with the rest
-    of its support strictly lex-below the leader for kind "I" and strictly
-    lex-above for kind "J".  Sorted by leader, the rows then form a square
-    triangular matrix with 1 on the diagonal, of full rank over any field.
-    Otherwise the rank is found by elimination."""
+
+def _sum(a: IdealBasis, b: IdealBasis) -> tuple[IdealBasis, SpanBasis]:
+    """The larger of a and b (the size rule: fewer residues to eliminate),
+    and the span of the residues of the other's elements modulo it.
+
+    The rank rule: rank(span F + span{v}) = rank F + rank{r(v)} over any
+    field, for residues r(v) modulo span F that vanish at every leader of
+    F.  Each r(v) is a nonzero multiple of v less an element of span F, so
+    the two sums agree, and span F meets the residues' span only in 0: a
+    nonzero x in span F is nonzero at the extreme leader among its nonzero
+    coefficients (the other elements vanish there, and ±1 is a unit),
+    where every residue vanishes.  F may also be a set of unit vectors
+    (a residue drops their coordinates) or a reduced span (its pivots as
+    the leaders)."""
+    base, other = (a, b) if len(a) >= len(b) else (b, a)
+    return base, _span_of((base.reduce(e._terms) for e in other), a.field, a.n)
+
+
+def _completion_rank(basis: IdealBasis, added) -> int:
+    """The rank of span(`basis`) together with the unit vectors at the lex
+    ranks `added`.
+
+    It is n! at once when the basis is unitriangular and its leaders are
+    the ranks outside `added`: sorted by rank, the rows then form a square
+    triangular matrix with ±1 on the diagonal, of full rank over any
+    field.  Otherwise the unit vectors are reduced modulo the basis, by
+    the rank rule of `_sum`."""
     n_fact = factorial(basis.n)
-    extreme = max if basis.kind == "I" else min
-    perms = permutation_basis(basis.n)
     added = set(added)
-    leads = [r for r in range(n_fact) if r not in added]
-    rows = list(zip(basis.leaders, basis.elements))
-    if len(rows) == len(leads) and all(
-        v == perms[r] and e._den == 1 and e._terms.get(r) == 1 and extreme(e._terms) == r
-        for (v, e), r in zip(rows, leads)
-    ):
+    rows = basis._leading()
+    if rows is not None and len(rows) + len(added) == n_fact and added.isdisjoint(rows):
         return n_fact
-    total = span.copy()
-    for r in added:
-        total.insert({r: 1})
-    return total.rank()
+    residues = _span_of((basis.reduce({r: 1}) for r in added), basis.field, basis.n)
+    return basis.rank() + residues.rank()
 
 
 def verify_row_main(
@@ -309,7 +404,12 @@ def verify_row_main(
     invertible), sampled spanning, quotient bases, antipode stability, and
     generation of J_k by a single antisymmetrizer.
 
-    When these arguments close, no span is reduced beyond span(I), span(J).
+    Ranks (i) and every membership, in (v), (vii) and the closure tests,
+    are read off the triangular leaders: each basis is unitriangular, so
+    its rank is its size and v lies in its span iff the one sweep of
+    `IdealBasis.reduce` leaves nothing.  When the arguments below close,
+    no span is reduced at all.
+
     Antipode stability (vii) is decided first: the antipode S is an
     anti-automorphism (S(xy) = S(y)·S(x), S² = 1), so where (vii) holds, a
     span closed under S_n on the left is closed on the right too,
@@ -347,10 +447,13 @@ def verify_row_main(
     Direct sum (iv) rests on the same certificate: I ∩ J is a two-sided
     ideal whose square lies in I·J = 0, and when n! is invertible k[S_n]
     has no nonzero nilpotent ideal (Maschke), so I ∩ J = 0.  Otherwise the
-    sum is found by elimination.
+    rank of the sum is that of the larger basis plus the rank of the
+    residues of the other's elements modulo it (`_sum`).
 
     Quotient bases (vi) pass by the triangular argument of
-    `_completion_rank` when it applies, and by elimination otherwise."""
+    `_completion_rank`: the leaders and the added unit vectors are all n!
+    ranks, each once.  Where that fails, the rank is that of the basis plus
+    the rank of the residues of the unit vectors modulo it."""
     _check_n_range(n, cap)
     _check_trials(trials)
     rep = Report("verify_row_main", n=n, k=k, field=field.name)
@@ -361,29 +464,26 @@ def verify_row_main(
 
     ibasis = build_I_basis(n, k, field, cap)
     jbasis = build_J_basis(n, k, field, cap)
-    ispan = ibasis.span()
-    jspan = jbasis.span()
-    rep.data["rank_I"] = ispan.rank()
-    rep.data["rank_J"] = jspan.rank()
+    rank_I = rep.data["rank_I"] = ibasis.rank()
+    rank_J = rep.data["rank_J"] = jbasis.rank()
 
     # (i) ranks match the avoider counts.
     rep.add(
         "ranks",
-        ispan.rank() == num_av == len(ibasis)
-        and jspan.rank() == n_fact - num_av == len(jbasis),
-        note=f"I: {ispan.rank()} (expect {num_av}), J: {jspan.rank()} (expect {n_fact - num_av})",
+        rank_I == num_av == len(ibasis) and rank_J == n_fact - num_av == len(jbasis),
+        note=f"I: {rank_I} (expect {num_av}), J: {rank_J} (expect {n_fact - num_av})",
     )
 
     # (ii)-(iv) rest on (vii) and (viii), so those two are decided first.
     antipode_ok = all(
-        ispan.contains(antipode(e)._terms) for e in ibasis.elements
-    ) and all(jspan.contains(antipode(e)._terms) for e in jbasis.elements)
+        basis.contains(antipode(e)._terms) for basis in (ibasis, jbasis) for e in basis
+    )
     if k < n:
         aX = antisymmetrizer(Subset(n, range(1, k + 2)), field)
-        generator_witness = _generator_witness(jbasis, jspan, aX, antipode_ok)
+        generator_witness = _generator_witness(jbasis, aX, antipode_ok)
     certified = k >= n or (
         generator_witness is None
-        and _closure_witness(ibasis, ispan, "I", antipode_ok) is None
+        and _closure_witness(ibasis, "I", antipode_ok) is None
         and all(mul(e, aX).is_zero() for e in ibasis.elements)
         and (
             antipode_ok and antipode(aX) == aX
@@ -402,10 +502,14 @@ def verify_row_main(
     rep.add("orthogonality", witness is None, witness=witness)
 
     # (iv) direct sum decomposition, valid when n! is invertible: from the
-    # certificate, or by elimination.
+    # certificate, or by the rank of the residues.
     if field.characteristic == 0 or n_fact % field.characteristic:
-        total = ispan.rank() + jspan.rank() if certified else span_sum_rank(ispan, jspan)
-        inter = ispan.rank() + jspan.rank() - total
+        if certified:
+            total = rank_I + rank_J
+        else:
+            base, residues = _sum(ibasis, jbasis)
+            total = base.rank() + residues.rank()
+        inter = rank_I + rank_J - total
         rep.add(
             "direct_sum",
             total == n_fact and inter == 0,
@@ -421,7 +525,7 @@ def verify_row_main(
             A = random_set_composition(rng, n, k)
             w = _random_perm(rng, n)
             B = act(w, A)
-            if not ispan.contains(row_sum(B, A, field)._terms):
+            if not ibasis.contains(row_sum(B, A, field)._terms):
                 witness = f"row_sum({B}, {A})"
                 break
         rep.add("sampled_row_sums_in_I", witness is None, witness=witness)
@@ -433,7 +537,7 @@ def verify_row_main(
             U = Subset(n, rng.sample(range(1, n + 1), k + 1))
             v = _random_perm(rng, n)
             elt = mul(AlgebraElement.from_perm(v, field), antisymmetrizer(U, field))
-            if not jspan.contains(elt._terms):
+            if not jbasis.contains(elt._terms):
                 witness = f"{v.oln}*antisym({U})"
                 break
         rep.add("sampled_generators_in_J", witness is None, witness=witness)
@@ -441,8 +545,8 @@ def verify_row_main(
         rep.skip("sampled_generators_in_J", f"no (k+1)-subsets of [{n}] for k = {k}")
 
     # (vi) complementary permutations complete each span to full rank.
-    irank = _completion_rank(ibasis, ispan, [r for r in range(n_fact) if r not in avoiders])
-    jrank = _completion_rank(jbasis, jspan, avoiders)
+    irank = _completion_rank(ibasis, [r for r in range(n_fact) if r not in avoiders])
+    jrank = _completion_rank(jbasis, avoiders)
     rep.add(
         "quotient_bases",
         irank == n_fact and jrank == n_fact,
@@ -457,7 +561,7 @@ def verify_row_main(
         rep.add(
             "single_generator",
             generator_witness is None,
-            note="" if generator_witness else f"regenerated rank {jspan.rank()} of {jspan.rank()}",
+            note="" if generator_witness else f"regenerated rank {rank_J} of {rank_J}",
             witness=generator_witness,
         )
     else:
@@ -523,7 +627,9 @@ def tuple_sum_span_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Rep
 def twin_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Report:
     """The residues of permutations outside the decreasing-avoider set
     Av'_n(k+1) also complete I_k to full rank, and both avoider families
-    have the same size."""
+    have the same size.  Ranks by the rules of `_sum`: the larger of I_k
+    and the unit vectors plus the residues of the smaller modulo it (a
+    residue modulo unit vectors drops their coordinates)."""
     _check_n_range(n, cap)
     rep = Report("twin_check", n=n, k=k, field=field.name)
     n_fact = factorial(n)
@@ -532,42 +638,50 @@ def twin_check(n: int, k: int, field=QQ, cap: int = VERIFY_CAP) -> Report:
     rep.data["count_Av"] = num_av
     rep.data["count_Av_prime"] = len(primes)
     rep.add("counts_equal", num_av == len(primes))
-    total = build_I_basis(n, k, field, cap).span()
-    for r in range(n_fact):
-        if r not in primes:
-            total.insert({r: 1})
-    rep.add("twin_quotient_basis", total.rank() == n_fact, note=f"rank {total.rank()}")
+    ibasis = build_I_basis(n, k, field, cap)
+    units = [r for r in range(n_fact) if r not in primes]
+    if len(ibasis) >= len(units):
+        residues = (ibasis.reduce({r: 1}) for r in units)
+        rank = ibasis.rank()
+    else:
+        residues = ({j: x for j, x in e._terms.items() if j in primes} for e in ibasis)
+        rank = len(units)
+    rank += _span_of(residues, field, n).rank()
+    rep.add("twin_quotient_basis", rank == n_fact, note=f"rank {rank}")
     return rep
 
 
 def mixed_quotient_check(n: int, k: int, l: int, field=QQ, cap: int = VERIFY_CAP) -> Report:
     """The permutations in Av'_n(l+1) ∖ Av_n(k+1) index a basis of the
-    quotient by I_k + sign_twist(J_l)."""
+    quotient by I_k + sign_twist(J_l).  Ranks by the rules of `_sum`: the
+    larger basis plus the residues of the smaller's elements modulo it,
+    and for the completion those of the unit vectors at the index set."""
     _check_n_range(n, cap)
     rep = Report("mixed_quotient_check", n=n, k=k, l=l, field=field.name)
     n_fact = factorial(n)
-    s = build_I_basis(n, k, field, cap).span()
-    for e in sign_twisted(build_J_basis(n, l, field, cap)).elements:
-        s.insert(e._terms)
+    ibasis = build_I_basis(n, k, field, cap)
+    base, residues = _sum(ibasis, sign_twisted(build_J_basis(n, l, field, cap)))
+    rank = base.rank() + residues.rank()
     index_set = sorted(_avoider_ranks(n, l + 1, True) - _avoider_ranks(n, k + 1, False))
-    rep.data["rank_sum"] = s.rank()
+    rep.data["rank_sum"] = rank
     rep.data["quotient_size"] = len(index_set)
     rep.add(
         "corank_matches",
-        s.rank() == n_fact - len(index_set),
-        note=f"rank {s.rank()}, expect {n_fact - len(index_set)}",
+        rank == n_fact - len(index_set),
+        note=f"rank {rank}, expect {n_fact - len(index_set)}",
     )
-    total = s.copy()
     for r in index_set:
-        total.insert({r: 1})
-    rep.add("residues_complete", total.rank() == n_fact, note=f"rank {total.rank()}")
+        residues.insert(base.reduce({r: 1}))
+    total = base.rank() + residues.rank()
+    rep.add("residues_complete", total == n_fact, note=f"rank {total}")
     return rep
 
 
 def cross_char_intersection(n: int, field=QQ, cap: int = VERIFY_CAP) -> int:
-    """dim(I₂ ∩ sign_twist(I₂)) over the given field."""
+    """dim(I₂ ∩ sign_twist(I₂)) over the given field: the two ranks less
+    that of the sum, by the rules of `_sum` (the two are the same size)."""
     _check_n_range(n, cap)
     ibasis = build_I_basis(n, 2, field, cap)
-    ispan = ibasis.span()
-    tspan = sign_twisted(ibasis).span()
-    return span_intersection_dim(ispan, tspan)
+    tbasis = sign_twisted(ibasis)
+    base, residues = _sum(ibasis, tbasis)
+    return ibasis.rank() + tbasis.rank() - base.rank() - residues.rank()

@@ -2,13 +2,14 @@
 I_k and J_k."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 
 import pytest
 
 import snalg.ideals as ideals
-from snalg.exactla import GF, QQ, SpanBasis, span_intersection_dim
+from snalg.exactla import GF, QQ, SpanBasis
 from snalg.groupalg import AlgebraElement, antipode, dot, mul, sign_twist
 from snalg.ideals import (
     IdealBasis,
@@ -26,6 +27,8 @@ from snalg.ideals import (
 from snalg.perm import Permutation, all_permutations, enumerate_av, enumerate_av_prime
 from snalg.rook import Subset
 from snalg.setdecomp import SetDecomposition, act, antisymmetrizer, row_sum, random_set_composition
+
+import span_elimination
 
 
 def brute_witness(v, k):
@@ -241,6 +244,12 @@ def eliminated_completion_rank(basis, added):
     return span.rank()
 
 
+def intersection_dim(s, t):
+    """Reference: dim(s ∩ t) = rank s + rank t − rank(s + t), the sum by
+    elimination."""
+    return s.rank() + t.rank() - span_elimination.sum_rank(s, t)
+
+
 def corrupted(basis, index, extra=None):
     """`basis` with `extra` (default the identity permutation) added to
     element `index`."""
@@ -297,7 +306,7 @@ class TestAnnihilationCertificate:
                     f"I-completion {irank}, J-completion {jrank}"
                 )
                 ispan, jspan = ib.span(), jb.span()
-                inter = span_intersection_dim(ispan, jspan)
+                inter = intersection_dim(ispan, jspan)
                 assert checks["direct_sum"].note == (
                     f"sum rank {ispan.rank() + jspan.rank() - inter}, intersection {inter}"
                 )
@@ -320,10 +329,10 @@ class TestAnnihilationCertificate:
             for k in range(1, n):
                 ib, jb = build_I_basis(n, k, field), build_J_basis(n, k, field)
                 aX = antisymmetrizer(Subset(n, range(1, k + 2)), field)
-                assert ideals._closure_witness(ib, ib.span(), "I") is None, (n, k)
+                assert ideals._closure_witness(ib, "I") is None, (n, k)
                 assert all(mul(e, aX).is_zero() and mul(aX, e).is_zero() for e in ib), (n, k)
-                assert ideals._closure_witness(jb, jb.span(), "J") is None, (n, k)
-                assert ideals._generator_witness(jb, jb.span(), aX) is None, (n, k)
+                assert ideals._closure_witness(jb, "J") is None, (n, k)
+                assert ideals._generator_witness(jb, aX) is None, (n, k)
 
     @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
     @pytest.mark.parametrize("target", ["I", "I-extra", "aX", "J"])
@@ -348,7 +357,7 @@ class TestAnnihilationCertificate:
             with_extra = with_extra_line(field)
             monkeypatch.setattr(ideals, "build_I_basis", with_extra)
             ib = with_extra(n, k, field)
-            assert ideals._closure_witness(ib, ib.span(), "I") == (
+            assert ideals._closure_witness(ib, "I") == (
                 "s_2·I[(4, 3, 2, 1)] not in span(I)"
             )
         elif target == "J":
@@ -384,7 +393,7 @@ class TestAnnihilationCertificate:
         monkeypatch.setattr(ideals, "build_I_basis", with_extra)
         checks = checks_of(verify_row_main(n, k, field))
         ispan, jspan = with_extra(n, k, field).span(), build_J_basis(n, k, field).span()
-        inter = span_intersection_dim(ispan, jspan)
+        inter = intersection_dim(ispan, jspan)
         assert inter == 1
         assert checks["direct_sum"].status == "fail"
         assert checks["direct_sum"].note == (
@@ -426,7 +435,7 @@ class TestAnnihilationCertificate:
                 elements.append(mul(AlgebraElement.from_perm(s3), aX))
                 leaders.append(s3)
             basis = IdealBasis(n, k, QQ, "J", elements, leaders)
-        assert ideals._generator_witness(basis, basis.span(), aX) == want
+        assert ideals._generator_witness(basis, aX) == want
         monkeypatch.setattr(ideals, "build_J_basis", lambda *a, **kw: basis)
         check = checks_of(verify_row_main(n, k))["single_generator"]
         assert check.status == "fail"
@@ -475,16 +484,16 @@ class TestAnnihilationCertificate:
         ib = build_I_basis(n, k)
         av = {v.rank() for v in ib.leaders}
         others = [r for r in range(24) if r not in av]
-        assert ideals._completion_rank(ib, ib.span(), others) == 24
+        assert ideals._completion_rank(ib, others) == 24
         # leaders and added ranks short of all n! ranks
-        assert ideals._completion_rank(ib, ib.span(), others[1:]) == 23
+        assert ideals._completion_rank(ib, others[1:]) == 23
         # leader coefficient 2: not unitriangular, still full rank over Q
         doubled = IdealBasis(n, k, QQ, "I", [2 * e for e in ib.elements], ib.leaders)
-        assert ideals._completion_rank(doubled, doubled.span(), others) == 24
+        assert ideals._completion_rank(doubled, others) == 24
         # a zero element
         zero = AlgebraElement.zero(n)
         holed = IdealBasis(n, k, QQ, "I", [zero, *ib.elements[1:]], ib.leaders)
-        assert ideals._completion_rank(holed, holed.span(), others) == 23
+        assert ideals._completion_rank(holed, others) == 23
 
     def test_completion_rank_checks_support_side(self):
         # u_1 + u_2 led at rank 1 has support above its leader, so for kind
@@ -493,11 +502,11 @@ class TestAnnihilationCertificate:
         u = [AlgebraElement.from_perm(w) for w in all_permutations(n)]
         leaders = [Permutation([1, 3, 2]), Permutation([2, 1, 3])]
         basis = IdealBasis(n, 1, QQ, "I", [u[1] + u[2], u[2] + u[1]], leaders)
-        assert ideals._completion_rank(basis, basis.span(), [0, 3, 4, 5]) == 5
+        assert ideals._completion_rank(basis, [0, 3, 4, 5]) == 5
         # the same rows are triangular the other way round for kind "J",
         # but the row led at 2 then has support below its leader
         basis = IdealBasis(n, 1, QQ, "J", [u[1] + u[2], u[2] + u[1]], leaders)
-        assert ideals._completion_rank(basis, basis.span(), [0, 3, 4, 5]) == 5
+        assert ideals._completion_rank(basis, [0, 3, 4, 5]) == 5
 
 
 FIELDS = [QQ, GF(2), GF(3), GF(7)]
@@ -614,16 +623,16 @@ class TestOneSidedClosure:
                 for basis, name in ((ib, "I"), (jb, "J")):
                     span = basis.span()
                     assert antipode_stable(basis, span), (n, k, name)
-                    assert ideals._closure_witness(basis, span, name) is None, (n, k, name)
-                    assert ideals._closure_witness(basis, span, name, True) is None, (n, k, name)
+                    assert ideals._closure_witness(basis, name) is None, (n, k, name)
+                    assert ideals._closure_witness(basis, name, True) is None, (n, k, name)
                     if n > 1:
                         assert left_closed_by_two(basis, span), (n, k, name)
         open_stable = []
         for label, (basis, name) in mutated_bases(field).items():
             span = basis.span()
             stable = antipode_stable(basis, span)
-            scan = ideals._closure_witness(basis, span, name)
-            assert ideals._closure_witness(basis, span, name, stable) == scan, label
+            scan = ideals._closure_witness(basis, name)
+            assert ideals._closure_witness(basis, name, stable) == scan, label
             if stable:
                 assert left_closed_by_two(basis, span) == (scan is None), label
                 if scan is not None:
@@ -647,11 +656,11 @@ class TestOneSidedClosure:
             ib, jb = build_I_basis(n, k, field), build_J_basis(n, k, field)
             for basis, name in ((ib, "I"), (jb, "J")):
                 products.clear()
-                assert ideals._closure_witness(basis, basis.span(), name, True) is None
+                assert ideals._closure_witness(basis, name, True) is None
                 assert len(products) == per_element * len(basis)
         # span{1} in k[S_2] is fixed by the antipode but is no ideal
         one = IdealBasis(2, 1, field, "I", [AlgebraElement.one(2, field)], [Permutation([1, 2])])
-        witness = ideals._closure_witness(one, one.span(), "I", True)
+        witness = ideals._closure_witness(one, "I", True)
         assert witness == "s_1·I[(1, 2)] not in span(I)"
 
 
@@ -744,3 +753,230 @@ class TestSignTwisted:
         back = sign_twisted(twisted)
         assert back.kind == "J"
         assert all(a == b for a, b in zip(back.elements, basis.elements))
+
+
+class TestIdealBasisInput:
+    def test_leaders_and_elements_must_pair_up(self):
+        ib = build_I_basis(4, 2)
+        with pytest.raises(ValueError, match="14 elements, 13 leaders"):
+            IdealBasis(4, 2, QQ, "I", ib.elements, ib.leaders[1:])
+        with pytest.raises(ValueError, match="13 elements, 14 leaders"):
+            IdealBasis(4, 2, QQ, "I", ib.elements[1:], ib.leaders)
+
+
+def true_bases(n, k, field):
+    """I_k, J_k and their sign twists."""
+    ib, jb = build_I_basis(n, k, field), build_J_basis(n, k, field)
+    return [ib, jb, sign_twisted(ib), sign_twisted(jb)]
+
+
+def minus(v, w):
+    return {j: v.get(j, 0) - w.get(j, 0) for j in {*v, *w}}
+
+
+def probe_vectors(basis, rng):
+    """The elements, every unit vector, s_1·e for every element e, and ten
+    seeded random integer vectors."""
+    n, n_fact = basis.n, factorial(basis.n)
+    vectors = [e._terms for e in basis] + [{r: 1} for r in range(n_fact)]
+    if n > 1:
+        s1 = AlgebraElement.from_perm(Permutation([2, 1, *range(3, n + 1)]), basis.field)
+        vectors += [mul(s1, e)._terms for e in basis]
+    for _ in range(10):
+        support = rng.sample(range(n_fact), min(n_fact, rng.randint(1, 6)))
+        vectors.append({r: rng.choice([-3, -2, -1, 1, 2, 3]) for r in support})
+    return vectors
+
+
+def assert_residues_agree(basis, span, vectors):
+    """reduce, contains and rank of `basis` against its reduced span: the
+    residue is empty exactly on the span, differs from v by a span element,
+    and vanishes at every leader (or pivot)."""
+    assert basis.rank() == span.rank()
+    rows = basis._leading()
+    leads = set(rows) if rows is not None else set(span.pivots)
+    for v in vectors:
+        res = basis.reduce(v)
+        inside = span.contains(v)
+        assert basis.contains(v) == inside == (not res), v
+        assert leads.isdisjoint(res), v
+        assert span.contains(minus(v, res)), v
+
+
+class TestResidue:
+    """`IdealBasis.reduce`, `contains` and `rank` read off the triangular
+    leaders must answer as the reduced span does."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_true_bases_agree_with_reduced_span(self, field):
+        rng = random.Random(2929)
+        p = field.characteristic
+        for n in range(1, 6):
+            for k in range(n + 1):
+                for basis in true_bases(n, k, field):
+                    rows = basis._leading()
+                    assert rows is not None, (n, k, basis.kind)
+                    assert basis.rank() == len(basis)
+                    assert all(basis.contains(e._terms) for e in basis)
+                    # a unit vector off the leaders is its own residue
+                    for r in range(factorial(n)):
+                        if r not in rows:
+                            assert basis.reduce({r: 1}) == {r: 1}
+                            assert basis.reduce({r: -1}) == {r: p - 1 if p else -1}
+                    assert_residues_agree(basis, basis.span(), probe_vectors(basis, rng))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_rank_rule_is_the_rank_of_the_union(self, field):
+        for n in range(1, 6):
+            n_fact = factorial(n)
+            for k in range(n + 1):
+                ib = build_I_basis(n, k, field)
+                pairs = [(ib, build_J_basis(n, k, field)), (ib, sign_twisted(ib))]
+                pairs += [
+                    (ib, sign_twisted(build_J_basis(n, l, field))) for l in range(n + 1)
+                ]
+                for a, b in pairs:
+                    base, residues = ideals._sum(a, b)
+                    assert base is (a if len(a) >= len(b) else b)
+                    want = a.span()
+                    for e in b:
+                        want.insert(e._terms)
+                    assert base.rank() + residues.rank() == want.rank(), (n, k, b.kind)
+                # the completion by every second rank, or none
+                for added in (range(0, n_fact, 2), ()):
+                    want = ib.span()
+                    for r in added:
+                        want.insert({r: 1})
+                    assert ideals._completion_rank(ib, added) == want.rank(), (n, k)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_checks_match_elimination(self, field):
+        for n in range(1, 6):
+            for k in range(n + 1):
+                new, old = twin_check(n, k, field), span_elimination.twin_check(n, k, field)
+                assert new.to_json_obj() == old.to_json_obj(), (n, k)
+                for l in range(n + 1):
+                    new = mixed_quotient_check(n, k, l, field)
+                    old = span_elimination.mixed_quotient_check(n, k, l, field)
+                    assert new.to_json_obj() == old.to_json_obj(), (n, k, l)
+            want = span_elimination.cross_char_intersection(n, field)
+            assert cross_char_intersection(n, field) == want, n
+
+    def test_checks_match_elimination_at_n6(self):
+        for k, l, field, rank in [
+            (2, 2, QQ, 588),
+            (3, 2, GF(7), 613),
+            (4, 1, QQ, 719),
+            (2, 4, QQ, 132),
+            (1, 3, GF(3), 207),
+        ]:
+            new = mixed_quotient_check(6, k, l, field, cap=6)
+            old = span_elimination.mixed_quotient_check(6, k, l, field, cap=6)
+            assert new.to_json_obj() == old.to_json_obj(), (k, l)
+            assert new.passed and new.data["rank_sum"] == rank
+        # the twin checks of the ideal-suite steps
+        for k, field in [(2, QQ), (2, GF(7)), (2, GF(2)), (3, QQ), (4, QQ)]:
+            new = twin_check(6, k, field, cap=6)
+            old = span_elimination.twin_check(6, k, field, cap=6)
+            assert new.to_json_obj() == old.to_json_obj(), (k, field)
+        for field, dim in ((QQ, 0), (GF(2), 132)):
+            assert cross_char_intersection(6, field, cap=6) == dim
+            assert span_elimination.cross_char_intersection(6, field, cap=6) == dim
+
+    def test_the_smaller_family_is_reduced(self, monkeypatch):
+        # every residue is taken modulo the larger family; in twin_check the
+        # unit vectors are reduced modulo I_k only when they are fewer
+        calls = []
+        real = IdealBasis.reduce
+        monkeypatch.setattr(
+            IdealBasis, "reduce", lambda self, v: calls.append(len(self)) or real(self, v)
+        )
+        n = 5
+        sides = set()
+        for k in range(n + 1):
+            size_I = len(build_I_basis(n, k))
+            for l in range(n + 1):
+                size_J = len(build_J_basis(n, l))
+                calls.clear()
+                rep = mixed_quotient_check(n, k, l)
+                # the smaller family's elements, then the completion's units
+                reduced = min(size_I, size_J) + rep.data["quotient_size"]
+                assert calls == [max(size_I, size_J)] * reduced, (k, l)
+                sides.add(size_I > size_J)
+            calls.clear()
+            twin_check(n, k)
+            units = 120 - size_I
+            assert calls == ([size_I] * units if size_I >= units else []), k
+            sides.add(size_I >= units)
+        assert sides == {False, True}
+
+    def test_true_bases_reduce_no_span(self, monkeypatch):
+        # the certified path and the three rank checks read only the leaders
+        reduced = []
+        real = IdealBasis._reduced
+        monkeypatch.setattr(
+            IdealBasis, "_reduced", lambda self: reduced.append(self) or real(self)
+        )
+        for field in (QQ, GF(2), GF(7)):
+            for n in range(1, 6):
+                for k in range(n + 1):
+                    assert verify_row_main(n, k, field).passed, (n, k)
+                    twin_check(n, k, field)
+                    mixed_quotient_check(n, k, n - k, field)
+                cross_char_intersection(n, field)
+        assert reduced == []
+
+    @pytest.mark.parametrize(
+        "field, mutation",
+        [
+            (field, mutation)
+            for field in (QQ, GF(7))
+            for mutation in ("coefficient-2", "repeated-leader", "support-beyond")
+        ]
+        # over F_p every element has denominator 1
+        + [(QQ, "denominator")],
+        ids=lambda x: getattr(x, "name", x),
+    )
+    def test_other_bases_take_the_reduced_span(self, monkeypatch, field, mutation):
+        n, k = 4, 2
+        ib, jb = build_I_basis(n, k, field), build_J_basis(n, k, field)
+        elements, leaders = list(ib.elements), list(ib.leaders)
+        if mutation == "coefficient-2":
+            elements[3] = 2 * elements[3]
+        elif mutation == "repeated-leader":
+            elements.append(elements[5])
+            leaders.append(leaders[5])
+        elif mutation == "support-beyond":
+            # the last permutation, 4321, lies above every other leader
+            elements[0] = elements[0] + AlgebraElement.from_perm(Permutation([4, 3, 2, 1]), field)
+        else:
+            elements[3] = Fraction(1, 2) * elements[3]
+            assert elements[3]._den == 2
+        basis = IdealBasis(n, k, field, "I", elements, leaders)
+        assert basis._leading() is None
+        assert_residues_agree(basis, basis.span(), probe_vectors(basis, random.Random(7)))
+
+        def patched(*args, **kwargs):
+            return basis
+
+        monkeypatch.setattr(ideals, "build_I_basis", patched)
+        monkeypatch.setattr(span_elimination, "build_I_basis", patched)
+        reports = [
+            verify_row_main(n, k, field).to_json_obj(),
+            twin_check(n, k, field).to_json_obj(),
+            mixed_quotient_check(n, k, 1, field).to_json_obj(),
+        ]
+        # the reference: every answer from the reduced span, as for any basis
+        # before the leaders were read
+        assert reports[1] == span_elimination.twin_check(n, k, field).to_json_obj()
+        assert reports[2] == span_elimination.mixed_quotient_check(n, k, 1, field).to_json_obj()
+        monkeypatch.setattr(IdealBasis, "_leading", lambda self: None)
+        assert reports[0] == verify_row_main(n, k, field).to_json_obj()
+        checks = {c["name"]: c for c in reports[0]["checks"]}
+        if mutation == "repeated-leader":
+            assert checks["ranks"]["status"] == "fail"
+            assert checks["ranks"]["note"] == "I: 14 (expect 14), J: 10 (expect 10)"
+        elif mutation != "support-beyond":
+            # the same span as I_2
+            monkeypatch.undo()
+            assert reports[0] == verify_row_main(n, k, field).to_json_obj()
